@@ -12,15 +12,14 @@ from repro.algebra.ops import Operator
 def all_nodes(root: Operator) -> list[Operator]:
     """Every node reachable from ``root``, each exactly once,
     in a post-order (children before parents)."""
-    seen: set[int] = set()
+    seen: set[Operator] = {root}
     out: list[Operator] = []
 
     def visit(node: Operator) -> None:
-        if id(node) in seen:
-            return
-        seen.add(id(node))
         for child in node.children:
-            visit(child)
+            if child not in seen:
+                seen.add(child)
+                visit(child)
         out.append(node)
 
     visit(root)
@@ -32,18 +31,68 @@ def topological_order(root: Operator) -> list[Operator]:
     return all_nodes(root)
 
 
-def parents_map(root: Operator) -> dict[int, list[Operator]]:
-    """Map from ``id(node)`` to the list of its parents in the DAG.
+def parents_map(root: Operator) -> dict[Operator, list[Operator]]:
+    """Map from each node to the list of its parents in the DAG.
 
     A parent appears once per child slot (a self-join over a shared
     subplan contributes the parent twice).
     """
-    parents: dict[int, list[Operator]] = {id(root): []}
+    parents: dict[Operator, list[Operator]] = {root: []}
     for node in all_nodes(root):
-        parents.setdefault(id(node), [])
+        parents.setdefault(node, [])
         for child in node.children:
-            parents.setdefault(id(child), []).append(node)
+            parents.setdefault(child, []).append(node)
     return parents
+
+
+def splice(
+    parents: dict[Operator, list[Operator]], old: Operator, new: Operator
+) -> tuple[list[Operator], list[Operator]]:
+    """Re-point every edge into ``old`` at ``new`` and bring ``parents``
+    (a :func:`parents_map` the caller maintains) up to date with the
+    surgery: the operators ``new`` brings along are entered, those
+    reachable only through ``old`` are removed.
+
+    Returns ``(added, dropped)``, ``added`` in post-order.  Parent
+    nodes are mutated in place — shared subplans keep being shared.
+    """
+    holders = parents[old]
+    parents[old] = []
+    for holder in holders:
+        slots = holder.children
+        for i, child in enumerate(slots):
+            if child is old:
+                slots[i] = new
+
+    added: list[Operator] = []
+
+    def enter(node: Operator) -> None:
+        if node in parents:
+            return
+        parents[node] = []
+        for child in node.children:
+            enter(child)
+            parents[child].append(node)
+        added.append(node)
+
+    enter(new)
+    parents[new].extend(holders)
+
+    # ``new`` may have been built on top of ``old`` (rule 16 wraps it),
+    # which then has a parent again; otherwise it is unreachable now,
+    # together with whatever only it kept alive.
+    dropped: list[Operator] = []
+    orphans = [] if parents[old] else [old]
+    while orphans:
+        node = orphans.pop()
+        del parents[node]
+        dropped.append(node)
+        for child in node.children:
+            remaining = parents[child]
+            remaining.remove(node)
+            if not remaining:
+                orphans.append(child)
+    return added, dropped
 
 
 def replace_node(root: Operator, old: Operator, new: Operator) -> Operator:
@@ -56,10 +105,7 @@ def replace_node(root: Operator, old: Operator, new: Operator) -> Operator:
         return root
     if root is old:
         return new
-    for node in all_nodes(root):
-        for i, child in enumerate(node.children):
-            if child is old:
-                node.children[i] = new
+    splice(parents_map(root), old, new)
     return root
 
 
@@ -105,7 +151,7 @@ def iter_edges(root: Operator) -> Iterator[tuple[Operator, int, Operator]]:
 def plan_fingerprint(root: Operator) -> int:
     """Structural hash of the plan DAG (sharing-sensitive): two plans
     get equal fingerprints iff they have the same shape, labels and
-    sharing pattern.  Used by the rewrite engine for cycle detection."""
+    sharing pattern."""
     numbering: dict[int, int] = {}
     parts: list[tuple] = []
     for node in all_nodes(root):  # post-order: children numbered first

@@ -49,6 +49,8 @@ CODES: dict[str, tuple[str, str]] = {
     # -- rewrite sanitizer ---------------------------------------------
     "JGI030": ("rule-invalid-plan", "rewrite rule produced a structurally invalid plan"),
     "JGI031": ("rule-semantics-changed", "rewrite rule changed the query result"),
+    "JGI032": ("state-drift", "engine's maintained parents/properties differ from a fresh derivation"),
+    "JGI033": ("miss-mutated-plan", "a rule that did not fire mutated the plan"),
     # -- SQL lint ------------------------------------------------------
     "JGI040": ("sql-unbound-alias", "SQL references an alias the FROM clause never binds"),
     "JGI041": ("sql-unknown-column", "SQL references a column the doc table lacks"),

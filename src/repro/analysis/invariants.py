@@ -159,6 +159,7 @@ def property_diagnostics(
 
     expected_icols = _derive_icols(root)
     expected_set = _derive_set(root)
+    const_memo: dict[int, dict[str, Value]] = {}
     for node in nodes:
         columns = frozenset(node.columns)
 
@@ -183,7 +184,7 @@ def property_diagnostics(
             )
 
         const = props.const(node)
-        expected_const = _derive_const(node, {})
+        expected_const = _derive_const(node, const_memo)
         if const != expected_const:
             out.append(
                 Diagnostic(

@@ -8,6 +8,10 @@ individual rule application,
 
 * runs the deep invariant checker (:func:`repro.analysis.check_plan`)
   on the rewritten plan,
+* compares the engine's *maintained* plan state — the parents map and
+  the Tables 2–5 properties it repairs on the dirty cone of each
+  rewrite — with a derivation from scratch (``JGI032``), and checks
+  that the rules that did not fire left the plan alone (``JGI033``),
 * optionally re-interprets the plan on the (small) fixture documents
   and compares the item sequence against the pre-isolation reference —
   per-step differential testing, and
@@ -27,10 +31,16 @@ of the plan before/after the application.
 from __future__ import annotations
 
 import difflib
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NoReturn
 
-from repro.algebra.dagutils import all_nodes, clone_plan, plan_to_text
+from repro.algebra.dagutils import (
+    all_nodes,
+    clone_plan,
+    parents_map,
+    plan_to_text,
+)
 from repro.algebra.ops import DocScan, LitTable, Operator
+from repro.algebra.properties import PlanProperties, infer_properties
 from repro.analysis.diagnostics import Diagnostic, errors
 from repro.analysis.invariants import check_plan, prune_dead_refs
 from repro.errors import SanitizerError
@@ -38,6 +48,7 @@ from repro.obs import record_diagnostics
 
 if TYPE_CHECKING:
     from repro.infoset.encoding import DocTable
+    from repro.rewrite.rules import RewriteContext
     from repro.xquery.core import CoreExpr
 
 
@@ -75,6 +86,7 @@ class PlanSanitizer:
         self.steps_checked = 0
         self._reference: list | None = None
         self._pattern_expected: list | None = None
+        self._snapshot_text: str | None = None
 
     # -- arming -----------------------------------------------------------
 
@@ -118,38 +130,59 @@ class PlanSanitizer:
                 self._pattern_expected is not None
                 and self._reference != self._pattern_expected
             ):
-                diagnostic = Diagnostic(
-                    code="JGI061",
-                    message=(
-                        f"initial plan disagrees with the pattern oracle: "
-                        f"pattern expects {self._pattern_expected[:20]!r}, "
-                        f"plan yields {self._reference[:20]!r}"
-                    ),
-                    where="<initial plan>",
-                )
-                record_diagnostics([diagnostic])
-                raise SanitizerError(
-                    diagnostic.render(),
-                    code="JGI061",
-                    rule="<initial plan>",
-                    diagnostics=[diagnostic],
+                self._fail(
+                    "JGI061",
+                    "<initial plan>",
+                    f"initial plan disagrees with the pattern oracle: "
+                    f"pattern expects {self._pattern_expected[:20]!r}, "
+                    f"plan yields {self._reference[:20]!r}",
                 )
 
     def snapshot(self, root: Operator) -> Operator:
         """A structure-preserving copy of ``root`` taken before a rule
         application, used for the failure plan-diff."""
+        self._snapshot_text = None
         return clone_plan(root)
 
-    def after_step(self, rule: str, before: Operator, after: Operator) -> None:
-        """Validate the plan right after one application of ``rule``.
+    def after_miss(self, rule: str, before: Operator, root: Operator) -> None:
+        """``rule`` was offered every candidate node of this step and
+        fired on none: the plan must still read like the snapshot —
+        rules (20)/(21) edit projections in place, which is only sound
+        (and only reported to the maintained state) when they fire."""
+        if self._snapshot_text is None:
+            self._snapshot_text = plan_to_text(before)
+        if plan_to_text(root) != self._snapshot_text:
+            self._fail(
+                "JGI033",
+                rule,
+                f"rule ({rule}) did not fire but mutated the plan",
+                _plan_diff(before, root),
+            )
+
+    def after_step(self, rule: str, before: Operator, ctx: RewriteContext) -> None:
+        """Validate the plan — and the engine's maintained state of it
+        — right after one application of ``rule``.
 
         Intermediate plans may carry icols-dead dangling projection
         entries (``allow_dead_refs``; the engine's final
         ``validate_plan`` is strict) — the semantic check interprets a
         pruned copy, since the reference interpreter is strict."""
+        after = ctx.root
         self.steps_checked += 1
-        diagnostics = check_plan(after, data=self.data, allow_dead_refs=True)
+        fresh_parents = parents_map(after)
+        fresh = infer_properties(after, fresh_parents)
+        diagnostics = check_plan(
+            after, fresh, data=self.data, allow_dead_refs=True
+        )
         self._fail_on_errors(rule, diagnostics, before, after)
+        drift = maintained_state_drift(ctx, fresh_parents, fresh)
+        if drift:
+            self._fail(
+                "JGI032",
+                rule,
+                f"after rule ({rule}): " + "; ".join(drift[:5]),
+                _plan_diff(before, after),
+            )
         if (
             self.interpret
             and self._reference is not None
@@ -162,40 +195,37 @@ class PlanSanitizer:
                 self._pattern_expected is not None
                 and result != self._pattern_expected
             ):
-                diagnostic = Diagnostic(
-                    code="JGI060",
-                    message=(
-                        f"rule ({rule}) disagrees with the pattern oracle: "
-                        f"pattern expects {self._pattern_expected[:20]!r}, "
-                        f"got {result[:20]!r}"
-                    ),
-                    where=f"rule {rule}",
-                )
-                record_diagnostics([diagnostic])
-                raise SanitizerError(
-                    f"{diagnostic.render()}\n{_plan_diff(before, after)}",
-                    code="JGI060",
-                    rule=rule,
-                    diagnostics=[diagnostic],
+                self._fail(
+                    "JGI060",
+                    rule,
+                    f"rule ({rule}) disagrees with the pattern oracle: "
+                    f"pattern expects {self._pattern_expected[:20]!r}, "
+                    f"got {result[:20]!r}",
+                    _plan_diff(before, after),
                 )
             if result != self._reference:
-                diagnostic = Diagnostic(
-                    code="JGI031",
-                    message=(
-                        f"rule ({rule}) changed the result: expected "
-                        f"{self._reference[:20]!r}, got {result[:20]!r}"
-                    ),
-                    where=f"rule {rule}",
-                )
-                record_diagnostics([diagnostic])
-                raise SanitizerError(
-                    f"{diagnostic.render()}\n{_plan_diff(before, after)}",
-                    code="JGI031",
-                    rule=rule,
-                    diagnostics=[diagnostic],
+                self._fail(
+                    "JGI031",
+                    rule,
+                    f"rule ({rule}) changed the result: expected "
+                    f"{self._reference[:20]!r}, got {result[:20]!r}",
+                    _plan_diff(before, after),
                 )
 
     # -- internals --------------------------------------------------------
+
+    def _fail(self, code: str, rule: str, message: str, diff: str = "") -> NoReturn:
+        """Record one finding against ``rule`` and raise it."""
+        where = rule if rule.startswith("<") else f"rule {rule}"
+        diagnostic = Diagnostic(code=code, message=message, where=where)
+        record_diagnostics([diagnostic])
+        rendered = diagnostic.render()
+        raise SanitizerError(
+            f"{rendered}\n{diff}" if diff else rendered,
+            code=code,
+            rule=rule,
+            diagnostics=[diagnostic],
+        )
 
     def _fail_on_errors(
         self,
@@ -234,6 +264,47 @@ class PlanSanitizer:
             elif isinstance(node, LitTable):
                 rows += len(node.rows)
         return rows <= self.max_base_rows
+
+
+def maintained_state_drift(
+    ctx: RewriteContext,
+    fresh_parents: dict[Operator, list[Operator]],
+    fresh: PlanProperties,
+) -> list[str]:
+    """Where the engine's maintained parents map and properties differ
+    from ``parents_map(ctx.root)`` / ``infer_properties(ctx.root)``
+    (passed in) — empty when the incremental repair is exact.  Parents
+    compare as multisets (one entry per child slot); operators that
+    left the plan must have left the map."""
+    out: list[str] = []
+    for node, expected in fresh_parents.items():
+        have = ctx.parents.get(node)
+        if have is None:
+            out.append(f"{node.label()}: missing from the parents map")
+        elif sorted(map(id, have)) != sorted(map(id, expected)):
+            out.append(
+                f"{node.label()}: parents {[p.label() for p in have]}, "
+                f"plan has {[p.label() for p in expected]}"
+            )
+    stale = len(ctx.parents) - len(fresh_parents)
+    if stale > 0 and not out:
+        out.append(f"{stale} operator(s) outside the plan kept in the parents map")
+    for name, maintained, expected in (
+        ("schema", ctx.props._cols, fresh._cols),
+        ("icols", ctx.props._icols, fresh._icols),
+        ("const", ctx.props._const, fresh._const),
+        ("key", ctx.props._keys, fresh._keys),
+        ("set", ctx.props._set, fresh._set),
+    ):
+        for node, value in expected.items():
+            if node not in maintained:
+                out.append(f"{node.label()}: no maintained {name}")
+            elif maintained[node] != value:
+                out.append(
+                    f"{node.label()}: maintained {name} {maintained[node]!r}, "
+                    f"fresh derivation {value!r}"
+                )
+    return out
 
 
 def _plan_diff(before: Operator, after: Operator) -> str:

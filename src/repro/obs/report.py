@@ -82,15 +82,22 @@ def summary_report(
     sections.append("== spans (where the time went) ==")
     sections.append(tree_report(tracer))
 
-    rule_fires = metrics.prefixed("rewrite.rule_fired")
-    if rule_fires:
+    rule_ns = metrics.prefixed("rewrite.rule_ns")
+    if rule_ns:
+        fires = metrics.prefixed("rewrite.rule_fired")
+        attempts = metrics.prefixed("rewrite.rule_attempts")
         sections.append("")
-        sections.extend(
-            _counter_section(
-                "== rewrite rules (fires per rule) ==",
-                {f"rule ({name})": fires for name, fires in rule_fires.items()},
-            )
+        sections.append("== rewrite rules (ranked by cost) ==")
+        sections.append(
+            f"  {'rule':<10}{'ms':>10}{'attempts':>10}{'fires':>8}{'us/attempt':>12}"
         )
+        for name, elapsed in sorted(rule_ns.items(), key=lambda kv: (-kv[1], kv[0])):
+            offered = attempts.get(name, 0)
+            per_attempt = elapsed / 1e3 / offered if offered else 0.0
+            sections.append(
+                f"  {f'rule ({name})':<10}{elapsed / 1e6:>10.3f}{offered:>10g}"
+                f"{fires.get(name, 0):>8g}{per_attempt:>12.2f}"
+            )
     shrink = metrics.gauges.get("rewrite.nodes_removed")
     if shrink is not None:
         before = metrics.gauges.get("rewrite.nodes_before", 0)

@@ -11,8 +11,16 @@ The driver mirrors this with three phases, each run to fixpoint:
 
 Termination is guaranteed by the rules themselves (each either removes
 an operator, restricts its arguments, or moves a join strictly
-downward / a rank strictly upward); a structural-fingerprint cycle
-check and a hard step budget guard against implementation slips.
+downward / a rank strictly upward); a hard step budget guards against
+implementation slips.
+
+The driver is a worklist rewriter over one maintained plan state
+(:class:`~repro.rewrite.rules.RewriteContext`): the parents map and the
+Tables 2–5 properties are derived once per run and repaired after each
+rule application on the dirty cone of the rewritten node only.  Rule
+*selection* is a plain priority scan — first rule in phase order, first
+matching node in post-order — because fresh column names, hence plan
+and SQL text, depend on the application order.
 """
 
 from __future__ import annotations
@@ -22,13 +30,7 @@ from dataclasses import dataclass, field
 from time import perf_counter_ns
 from typing import TYPE_CHECKING, Callable, Sequence
 
-from repro.algebra.dagutils import (
-    all_nodes,
-    parents_map,
-    plan_fingerprint,
-    replace_node,
-    validate_plan,
-)
+from repro.algebra.dagutils import all_nodes, parents_map, validate_plan
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.analysis.rulecheck import PlanSanitizer
@@ -93,7 +95,13 @@ class IsolationStats:
     size shrink, and per-phase timing."""
 
     applications: Counter = field(default_factory=Counter)
+    #: nodes each rule was offered, and the nanoseconds it spent on
+    #: them (premise checks of failed attempts included)
+    rule_attempts: Counter = field(default_factory=Counter)
+    rule_ns: Counter = field(default_factory=Counter)
     steps: int = 0
+    #: always 0: the fingerprint-revisit exit it counted never fired
+    #: and is gone; ``max_steps`` is the one guard
     cycles_broken: int = 0
     #: operator count of the compiled plan before / after isolation
     nodes_before: int = 0
@@ -149,13 +157,17 @@ class IsolationEngine:
 
     def isolate(self, root: Serialize) -> tuple[Serialize, IsolationStats]:
         """Rewrite ``root`` into join-graph shape.  The input DAG is
-        mutated; the returned root is the place to continue from."""
+        mutated; the returned root is the place to continue from (rules
+        never replace the ``Serialize`` root, so it is ``root``)."""
         stats = IsolationStats()
         tracer = get_tracer()
-        self._counter = [0]  # fresh-name counter, shared across steps
         if self.sanitizer is not None:
             self.sanitizer.check_initial(root)
-        stats.nodes_before = len(all_nodes(root))
+        parents = parents_map(root)
+        ctx = RewriteContext(
+            root=root, props=infer_properties(root, parents), parents=parents
+        )
+        stats.nodes_before = len(parents)
         # Phase 3 searches the join-goal rules *before* the δ-removing
         # house-cleaning rules (14)/(15): the key-join collapses (19)/(20)
         # rely on candidate keys that the intermediate δs still certify;
@@ -177,7 +189,7 @@ class IsolationEngine:
                 with tracer.span(
                     f"isolate.phase:{phase_name}", rules=len(active)
                 ) as phase_span:
-                    root = self._run_phase(root, active, stats, tracer)
+                    self._run_phase(ctx, active, stats, tracer)
                     stats.phase_applications[phase_name] = (
                         stats.steps - steps_before
                     )
@@ -186,7 +198,7 @@ class IsolationEngine:
                     )
                 stats.phase_ns[phase_name] = perf_counter_ns() - start
             validate_plan(root)
-            stats.nodes_after = len(all_nodes(root))
+            stats.nodes_after = len(ctx.parents)
             span.set(
                 nodes_after=stats.nodes_after,
                 steps=stats.steps,
@@ -201,10 +213,13 @@ class IsolationEngine:
         metrics = get_metrics()
         metrics.count("rewrite.runs")
         metrics.count("rewrite.steps", stats.steps)
-        if stats.cycles_broken:
-            metrics.count("rewrite.cycles_broken", stats.cycles_broken)
+        metrics.count("rewrite.cycles_broken", stats.cycles_broken)
         for rule, fires in stats.applications.items():
             metrics.count(f"rewrite.rule_fired.{rule}", fires)
+        for rule, attempts in stats.rule_attempts.items():
+            metrics.count(f"rewrite.rule_attempts.{rule}", attempts)
+        for rule, elapsed in stats.rule_ns.items():
+            metrics.count(f"rewrite.rule_ns.{rule}", elapsed)
         for phase, elapsed in stats.phase_ns.items():
             metrics.observe(f"rewrite.phase_ns.{phase}", elapsed)
         metrics.observe("rewrite.isolate_ns", stats.total_ns)
@@ -214,71 +229,79 @@ class IsolationEngine:
 
     def _run_phase(
         self,
-        root: Serialize,
+        ctx: RewriteContext,
         phase_rules: Sequence[tuple[str, Rule]],
         stats: IsolationStats,
         tracer: Tracer,
-    ) -> Serialize:
-        seen_fingerprints = {plan_fingerprint(root)}
-        while True:
+    ) -> None:
+        """Apply the phase's rules to fixpoint."""
+        # every rule opens with an isinstance test: offer it only the
+        # operators of the classes it declares (an undeclared rule is
+        # offered every operator)
+        scans = [
+            (name, rule, getattr(rule, "operator_classes", (Operator,)))
+            for name, rule in phase_rules
+        ]
+        while self._apply_one(ctx, scans, stats, tracer):
             if stats.steps > self.max_steps:
                 raise RewriteError(
                     f"isolation exceeded {self.max_steps} rule applications"
                 )
-            applied = self._apply_one(root, phase_rules, stats, tracer)
-            if applied is None:
-                return root
-            root = applied
-            fp = plan_fingerprint(root)
-            if fp in seen_fingerprints:
-                stats.cycles_broken += 1
-                return root
-            seen_fingerprints.add(fp)
 
     def _apply_one(
         self,
-        root: Serialize,
-        phase_rules: Sequence[tuple[str, Rule]],
+        ctx: RewriteContext,
+        scans: Sequence[tuple[str, Rule, tuple[type[Operator], ...]]],
         stats: IsolationStats,
         tracer: Tracer,
-    ) -> Serialize | None:
-        ctx = RewriteContext(
-            root=root,
-            props=infer_properties(root),
-            parents=parents_map(root),
-            counter=self._counter,
-        )
+    ) -> bool:
+        """Find the first applicable (rule, node) pair — rules in phase
+        priority order, nodes in post-order — and apply it."""
+        sanitizer = self.sanitizer
         # rules may mutate the DAG in place during the *attempt* (not
         # only via the returned replacement), so the sanitizer snapshot
         # has to be taken before any rule runs.
-        before = (
-            self.sanitizer.snapshot(root) if self.sanitizer is not None else None
-        )
-        nodes = all_nodes(root)
-        for name, rule in phase_rules:
+        before = sanitizer.snapshot(ctx.root) if sanitizer is not None else None
+        nodes = all_nodes(ctx.root)
+        nodes.pop()  # post-order ends in the root, which no rule rewrites
+        offered: dict[tuple[type[Operator], ...], list[Operator]] = {}
+        for name, rule, classes in scans:
+            scan = offered.get(classes)
+            if scan is None:
+                scan = offered[classes] = [
+                    node for node in nodes if isinstance(node, classes)
+                ]
             # rule 16 introduces the tail δ: scan top-down so it lands
             # at the topmost eligible join; everything else bottom-up.
-            scan = reversed(nodes) if name == "16" else iter(nodes)
-            for node in scan:
-                if node is root:
-                    continue
+            attempts = 0
+            hit = False
+            start = perf_counter_ns()
+            for node in reversed(scan) if name == "16" else scan:
+                attempts += 1
                 replacement = rule(node, ctx)
                 if replacement is not None and replacement is not node:
-                    stats.applications[name] += 1
-                    stats.steps += 1
-                    if tracer.enabled:
-                        tracer.event(
-                            f"rule({name})",
-                            rule=name,
-                            node=type(node).__name__,
-                            step=stats.steps,
-                        )
-                    new_root = replace_node(root, node, replacement)
-                    assert isinstance(new_root, Serialize)
-                    if self.sanitizer is not None:
-                        self.sanitizer.after_step(name, before, new_root)
-                    return new_root
-        return None
+                    hit = True
+                    break
+            stats.rule_ns[name] += perf_counter_ns() - start
+            stats.rule_attempts[name] += attempts
+            if not hit:
+                if sanitizer is not None:
+                    sanitizer.after_miss(name, before, ctx.root)
+                continue
+            stats.applications[name] += 1
+            stats.steps += 1
+            if tracer.enabled:
+                tracer.event(
+                    f"rule({name})",
+                    rule=name,
+                    node=type(node).__name__,
+                    step=stats.steps,
+                )
+            ctx.replace(node, replacement)
+            if sanitizer is not None:
+                sanitizer.after_step(name, before, ctx)
+            return True
+        return False
 
 
 def isolate(

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.algebra.dagutils import all_nodes, parents_map
+from repro.algebra.dagutils import all_nodes, splice
 from repro.algebra.expressions import Comparison, col, conjuncts
 from repro.algebra.ops import (
     Attach,
@@ -47,7 +47,10 @@ from repro.algebra.properties import PlanProperties
 
 @dataclass
 class RewriteContext:
-    """Inferred properties plus bookkeeping shared by all rules.
+    """The maintained state of one isolation run: the plan root, its
+    parents map and the Tables 2–5 properties — all kept current across
+    rule applications by :meth:`replace` — plus bookkeeping shared by
+    all rules.
 
     ``counter`` must be shared across all steps of one isolation run
     (the engine owns it): fresh column names persist in the plan, so a
@@ -56,8 +59,11 @@ class RewriteContext:
 
     root: Operator
     props: PlanProperties
-    parents: dict[int, list[Operator]]
+    parents: dict[Operator, list[Operator]]
     counter: list[int] = field(default_factory=lambda: [0])
+    #: projections a rule widened in place since the last
+    #: :meth:`replace` (rules 20/21 report them here)
+    touched: list[Project] = field(default_factory=list)
 
     def fresh_col(self, base: str) -> str:
         self.counter[0] += 1
@@ -66,12 +72,47 @@ class RewriteContext:
     def subplan_size(self, node: Operator) -> int:
         return len(all_nodes(node))
 
+    def replace(self, old: Operator, new: Operator) -> None:
+        """Apply one rule step — ``new`` takes the place of ``old``
+        (never the root) — and repair parents and properties on the
+        dirty cone only: ``const``/``key``/schema upward from the new
+        and the touched operators, ``icols``/``set`` downward from
+        every operator whose parents (or a parent's arguments) changed.
+        """
+        parents = self.parents
+        holders = parents[old]
+        added, dropped = splice(parents, old, new)
+        for node in dropped:
+            self.props.forget(node)
+        touched = [node for node in self.touched if node in parents]
+        self.touched.clear()
+        up = [*touched, *added, *holders]
+        down = [*reversed(added), new]
+        for node in added:
+            down.extend(node.children)
+        for node in dropped:
+            down.extend(child for child in node.children if child in parents)
+        down.extend(node.child for node in touched)
+        self.props.repair(self.root, parents, up, down)
+
+
+def matches(*classes: type[Operator]):
+    """Declare the operator classes a rule can fire on — its leading
+    ``isinstance`` test — so the engine offers it only those nodes."""
+
+    def mark(rule):
+        rule.operator_classes = classes
+        return rule
+
+    return mark
+
 
 # ---------------------------------------------------------------------------
 # house-cleaning rules
 # ---------------------------------------------------------------------------
 
 
+@matches(Cross)
 def rule_1_cross_literal(node: Operator, ctx: RewriteContext) -> Operator | None:
     """(1) ``q × single-row-literal -> chained @`` (either operand)."""
     if not isinstance(node, Cross):
@@ -88,6 +129,7 @@ def rule_1_cross_literal(node: Operator, ctx: RewriteContext) -> Operator | None
     return None
 
 
+@matches(Project)
 def rule_2_merge_projects(node: Operator, ctx: RewriteContext) -> Operator | None:
     """(2) ``π(π(q)) -> π(q)`` — compose renamings."""
     if isinstance(node, Project) and isinstance(node.child, Project):
@@ -99,6 +141,7 @@ def rule_2_merge_projects(node: Operator, ctx: RewriteContext) -> Operator | Non
     return None
 
 
+@matches(Project)
 def rule_7b_drop_dangling_pairs(node: Operator, ctx: RewriteContext) -> Operator | None:
     """(7b) drop projection pairs whose source column no longer exists.
 
@@ -109,13 +152,14 @@ def rule_7b_drop_dangling_pairs(node: Operator, ctx: RewriteContext) -> Operator
     """
     if not isinstance(node, Project):
         return None
-    available = set(node.child.columns)
+    available = ctx.props.columns(node.child)
     kept = [(new, old) for new, old in node.cols if old in available]
     if len(kept) == len(node.cols) or not kept:
         return None
     return Project(node.child, kept)
 
 
+@matches(Project)
 def rule_2b_identity_project(node: Operator, ctx: RewriteContext) -> Operator | None:
     """π that keeps all columns under their own names is a no-op."""
     if (
@@ -127,6 +171,7 @@ def rule_2b_identity_project(node: Operator, ctx: RewriteContext) -> Operator | 
     return None
 
 
+@matches(Join)
 def rule_3_const_join_to_cross(node: Operator, ctx: RewriteContext) -> Operator | None:
     """(3) ``q1 ⋈a=b q2 -> q1 × q2`` when a and b carry the same constant."""
     if not isinstance(node, Join):
@@ -141,6 +186,7 @@ def rule_3_const_join_to_cross(node: Operator, ctx: RewriteContext) -> Operator 
     return None
 
 
+@matches(Attach)
 def rule_4_attach_unreferenced(node: Operator, ctx: RewriteContext) -> Operator | None:
     """(4) ``@a:c(q) -> q`` when a is not needed upstream."""
     if isinstance(node, Attach) and node.col not in ctx.props.icols(node):
@@ -148,6 +194,7 @@ def rule_4_attach_unreferenced(node: Operator, ctx: RewriteContext) -> Operator 
     return None
 
 
+@matches(RowRank)
 def rule_5_rank_unreferenced(node: Operator, ctx: RewriteContext) -> Operator | None:
     """(5) ``%a(q) -> q`` when a is not needed upstream."""
     if isinstance(node, RowRank) and node.col not in ctx.props.icols(node):
@@ -155,6 +202,7 @@ def rule_5_rank_unreferenced(node: Operator, ctx: RewriteContext) -> Operator | 
     return None
 
 
+@matches(RowId)
 def rule_6_rowid_unreferenced(node: Operator, ctx: RewriteContext) -> Operator | None:
     """(6) ``#a(q) -> q`` when a is not needed upstream."""
     if isinstance(node, RowId) and node.col not in ctx.props.icols(node):
@@ -162,6 +210,7 @@ def rule_6_rowid_unreferenced(node: Operator, ctx: RewriteContext) -> Operator |
     return None
 
 
+@matches(Project)
 def rule_7_project_restrict(node: Operator, ctx: RewriteContext) -> Operator | None:
     """(7) restrict a projection to the needed columns."""
     if not isinstance(node, Project):
@@ -178,6 +227,7 @@ def rule_7_project_restrict(node: Operator, ctx: RewriteContext) -> Operator | N
     return Project(node.child, kept)
 
 
+@matches(RowRank)
 def rule_8_rank_drop_const_order(node: Operator, ctx: RewriteContext) -> Operator | None:
     """(8) drop constant columns from ranking criteria; a rank over
     nothing but constants assigns rank 1 to every row."""
@@ -197,6 +247,7 @@ def rule_8_rank_drop_const_order(node: Operator, ctx: RewriteContext) -> Operato
 # ---------------------------------------------------------------------------
 
 
+@matches(RowRank)
 def rule_9_rank_single_to_project(node: Operator, ctx: RewriteContext) -> Operator | None:
     """(9) ``%a:<b>(q) -> π(a:b, cols(q))(q)`` — a single-column rank is
     order-isomorphic to the column itself."""
@@ -207,6 +258,7 @@ def rule_9_rank_single_to_project(node: Operator, ctx: RewriteContext) -> Operat
     return None
 
 
+@matches(Select, Distinct, Attach, RowId)
 def rule_10_rank_pullup_unary(node: Operator, ctx: RewriteContext) -> Operator | None:
     """(10) pull % above σ, δ, @, # (premise: rank column unused there)."""
     child = node.children[0] if node.children else None
@@ -227,6 +279,7 @@ def rule_10_rank_pullup_unary(node: Operator, ctx: RewriteContext) -> Operator |
     return RowRank(inner, child.col, child.order)
 
 
+@matches(Project)
 def rule_11_rank_pullup_project(node: Operator, ctx: RewriteContext) -> Operator | None:
     """(11) pull % above π, re-routing the order columns below under
     fresh names (schema widening is benign, see module docstring)."""
@@ -249,6 +302,7 @@ def rule_11_rank_pullup_project(node: Operator, ctx: RewriteContext) -> Operator
     return RowRank(inner, rank_new, tuple(fresh_order))
 
 
+@matches(Join, Cross)
 def rule_12_rank_pullup_join(node: Operator, ctx: RewriteContext) -> Operator | None:
     """(12) pull % above ⋈ / × (premise: rank column not in the
     join predicate)."""
@@ -269,6 +323,7 @@ def rule_12_rank_pullup_join(node: Operator, ctx: RewriteContext) -> Operator | 
     return None
 
 
+@matches(RowRank)
 def rule_13_rank_splice(node: Operator, ctx: RewriteContext) -> Operator | None:
     """(13) splice adjacent rank criteria: an order column that is
     itself a rank is replaced by that rank's own criteria."""
@@ -291,6 +346,7 @@ def rule_13_rank_splice(node: Operator, ctx: RewriteContext) -> Operator | None:
 # ---------------------------------------------------------------------------
 
 
+@matches(Distinct)
 def rule_14_distinct_redundant(node: Operator, ctx: RewriteContext) -> Operator | None:
     """(14) ``δ(q) -> q`` when the output is deduplicated upstream anyway."""
     if isinstance(node, Distinct) and ctx.props.set_prop(node):
@@ -298,6 +354,7 @@ def rule_14_distinct_redundant(node: Operator, ctx: RewriteContext) -> Operator 
     return None
 
 
+@matches(Distinct)
 def rule_15_distinct_drop_const(node: Operator, ctx: RewriteContext) -> Operator | None:
     """(15) project away constant, unneeded columns below a δ."""
     if not isinstance(node, Distinct):
@@ -311,6 +368,7 @@ def rule_15_distinct_drop_const(node: Operator, ctx: RewriteContext) -> Operator
     return Distinct(Project.keep(node.child, kept))
 
 
+@matches(Join, Cross)
 def rule_16_introduce_tail_distinct(node: Operator, ctx: RewriteContext) -> Operator | None:
     """(16) introduce ``δ(π_icols(.))`` above a join whose output is
     key-unique within the needed columns and not yet deduplicated
@@ -341,6 +399,7 @@ def _oriented_equijoin(node: Operator) -> tuple[str, str] | None:
     return None
 
 
+@matches(Join)
 def rule_17_push_join_through_unary(node: Operator, ctx: RewriteContext) -> Operator | None:
     """(17) push an equi-join below π / σ / @ on either input.
 
@@ -391,6 +450,7 @@ def rule_17_push_join_through_unary(node: Operator, ctx: RewriteContext) -> Oper
     return None
 
 
+@matches(Join)
 def rule_18_push_join_through_join(node: Operator, ctx: RewriteContext) -> Operator | None:
     """(18) push an equi-join into one operand of a lower join/cross:
     ``(q1 ⊛ q2) ⋈a=b q3 -> q1 ⊛ (q2 ⋈a=b q3)`` when a ∈ cols(q2),
@@ -431,6 +491,7 @@ def rule_18_push_join_through_join(node: Operator, ctx: RewriteContext) -> Opera
     return None
 
 
+@matches(Join)
 def rule_19_collapse_key_selfjoin(node: Operator, ctx: RewriteContext) -> Operator | None:
     """(19) remove a degenerated key equi-join: both inputs are
     projection chains over the *same shared node* ``s`` and the join
@@ -456,6 +517,7 @@ def rule_19_collapse_key_selfjoin(node: Operator, ctx: RewriteContext) -> Operat
     return Project(left_base, pairs)
 
 
+@matches(Join)
 def rule_20_provenance_selfjoin(node: Operator, ctx: RewriteContext) -> Operator | None:
     """(19') provenance-based key self-join elimination — the general
     form of rule (19) needed to reach the paper's Fig. 7 shape.
@@ -500,7 +562,7 @@ def rule_20_provenance_selfjoin(node: Operator, ctx: RewriteContext) -> Operator
         }
         fresh_of = {src: ctx.fresh_col(src) for src in sorted(wanted)}
         copy_pairs = [(c, c) for c in copy_side.columns]
-        _resurrect(path, fresh_of)
+        _resurrect(path, fresh_of, ctx)
         key_pairs = []
         for out, src in mapping.items():
             if src == origin:
@@ -603,7 +665,9 @@ def _trace_copy(
     return None if hit is None else hit[0]
 
 
-def _resurrect(path: list[tuple[Operator, int]], fresh_of: dict[str, str]) -> None:
+def _resurrect(
+    path: list[tuple[Operator, int]], fresh_of: dict[str, str], ctx: RewriteContext
+) -> None:
     """Widen the projections along the trace path *in place* so the
     ``fresh_of`` source columns of the base flow to the top under fresh
     names.  All other path operators (σ/δ/@/#/%/⋈) pass columns through
@@ -625,9 +689,11 @@ def _resurrect(path: list[tuple[Operator, int]], fresh_of: dict[str, str]) -> No
                 (fresh_of[src], carried[src]) for src in sorted(fresh_of)
             )
             node_on_path.cols = node_on_path.cols + extra
+            ctx.touched.append(node_on_path)
             carried = {src: fresh_of[src] for src in fresh_of}
 
 
+@matches(Join)
 def rule_21_rowid_join_translation(node: Operator, ctx: RewriteContext) -> Operator | None:
     """(19'') translate a row-id correlation predicate into the
     underlying key columns.
@@ -677,8 +743,8 @@ def rule_21_rowid_join_translation(node: Operator, ctx: RewriteContext) -> Opera
             continue
         fresh_x = {c: ctx.fresh_col(c) for c in alt_key}
         fresh_y = {c: ctx.fresh_col(c) for c in alt_key}
-        _resurrect(hit_x[0], fresh_x)
-        _resurrect(hit_y[0], fresh_y)
+        _resurrect(hit_x[0], fresh_x, ctx)
+        _resurrect(hit_y[0], fresh_y, ctx)
         new_conjuncts = [c for j, c in enumerate(conjunct_list) if j != i]
         new_conjuncts += [
             Comparison("=", col(fresh_x[c]), col(fresh_y[c])) for c in alt_key
@@ -703,16 +769,21 @@ def _pick_alternative_key(
     rank_cols = {
         n.col for n in all_nodes(child) if isinstance(n, (RowRank, RowId))
     }
-    best: frozenset[str] | None = None
-    for key in ctx.props.keys(child):
-        penalty = (bool(key & rank_cols), len(key))
-        if best is None or penalty < (bool(best & rank_cols), len(best)):
-            best = key
-    if best is None or best & rank_cols:
+    # the sorted column tuple breaks penalty ties: frozenset iteration
+    # order depends on PYTHONHASHSEED, the isolated plan must not
+    best = min(
+        (
+            (bool(key & rank_cols), len(key), tuple(sorted(key)))
+            for key in ctx.props.keys(child)
+        ),
+        default=None,
+    )
+    if best is None or best[0]:
         return None
-    return tuple(sorted(best))
+    return best[2]
 
 
+@matches(Join)
 def rule_3b_drop_const_conjuncts(node: Operator, ctx: RewriteContext) -> Operator | None:
     """(3') drop join conjuncts ``a = b`` that hold trivially because
     both columns carry the same constant; a join whose predicate

@@ -72,6 +72,138 @@ def _mapping_to_rename(mapping: dict[str, str]) -> dict[str, str]:
     return rename
 
 
+Tagged = tuple[Expr, frozenset[str]]
+
+
+class _Witnesses:
+    """The witness search of :meth:`_Flattener.drop_redundant_witnesses`
+    and its bookkeeping: every conjunct tagged with the aliases it
+    mentions (computed once, not per probe), the per-alias index over
+    them, and the local signatures — which survive a drop, since the
+    conjuncts that mention only a surviving alias are never removed."""
+
+    def __init__(self, conjuncts: list[Expr]):
+        self.signatures: dict[str, frozenset[Expr]] = {}
+        self._index([(c, frozenset(_conjunct_aliases(c))) for c in conjuncts])
+
+    def _index(self, tagged: list[Tagged]) -> None:
+        self.tagged = tagged
+        self.by_alias: dict[str, list[Tagged]] = {}
+        for pair in tagged:
+            for alias in pair[1]:
+                self.by_alias.setdefault(alias, []).append(pair)
+
+    def drop(self, sources: set[str]) -> None:
+        """Remove every conjunct that mentions one of ``sources``."""
+        self._index([pair for pair in self.tagged if not (pair[1] & sources)])
+
+    def local_signature(self, alias: str) -> frozenset[Expr]:
+        """The conjuncts over ``alias`` alone, with the alias masked."""
+        signature = self.signatures.get(alias)
+        if signature is None:
+            hole = _mapping_to_rename({alias: "d0"})
+            own = frozenset((alias,))
+            signature = self.signatures[alias] = frozenset(
+                conjunct.rename(hole)
+                for conjunct, mentioned in self.by_alias.get(alias, ())
+                if mentioned == own
+            )
+        return signature
+
+    def match(
+        self, seed: str, aliases: list[str], protected: set[str]
+    ) -> dict[str, str] | None:
+        """Try to build a substitution ``M`` (source alias -> kept
+        alias) starting from ``seed`` such that every conjunct touching
+        a source, renamed per ``M``, already exists among the conjuncts
+        touching no source.  Returns ``M`` or ``None``."""
+        seed_signature = self.local_signature(seed)
+        for target in aliases:
+            if target == seed or self.local_signature(target) != seed_signature:
+                continue
+            mapping = self._grow_mapping({seed: target}, protected)
+            if mapping is not None:
+                return mapping
+        return None
+
+    def _grow_mapping(
+        self, mapping: dict[str, str], protected: set[str]
+    ) -> dict[str, str] | None:
+        """Extend a candidate substitution until it closes, pulling in
+        further aliases when a conjunct references one; bounded search
+        that gives up on ambiguity beyond the first consistent image."""
+        pending = list(mapping)
+        seen_conjuncts: set[int] = set()
+        budget = 64
+        while pending:
+            budget -= 1
+            if budget < 0:
+                return None
+            source = pending.pop()
+            for conjunct, involved in self.by_alias.get(source, ()):
+                if id(conjunct) in seen_conjuncts:
+                    continue
+                seen_conjuncts.add(id(conjunct))
+                # protected aliases stay fixed (identity)
+                unresolved = [
+                    a for a in involved if a not in mapping and a not in protected
+                ]
+                if not unresolved:
+                    if not self._image_exists(conjunct, mapping):
+                        return None
+                    continue
+                if len(unresolved) > 1:
+                    return None  # too entangled; give up
+                hole = unresolved[0]
+                image = self._find_hole_image(conjunct, mapping, hole)
+                if image is None:
+                    return None
+                if image in mapping or image == hole:
+                    return None
+                mapping[hole] = image
+                pending.append(hole)
+        # sources may not be images of other sources and must be gone
+        sources = set(mapping)
+        if sources & set(mapping.values()):
+            return None
+        # final verification: every conjunct touching a source maps to
+        # an existing conjunct among the untouched ones
+        rename = _mapping_to_rename(mapping)
+        untouched = {
+            c for c, mentioned in self.tagged if not (mentioned & sources)
+        }
+        for conjunct, mentioned in self.tagged:
+            if mentioned & sources and conjunct.rename(rename) not in untouched:
+                return None
+        return mapping
+
+    def _image_exists(self, conjunct: Expr, mapping: dict[str, str]) -> bool:
+        renamed = conjunct.rename(_mapping_to_rename(mapping))
+        sources = set(mapping)
+        return any(
+            other == renamed
+            for other, mentioned in self.tagged
+            if not (mentioned & sources)
+        )
+
+    def _find_hole_image(
+        self, conjunct: Expr, mapping: dict[str, str], hole: str
+    ) -> str | None:
+        """The alias ``v`` such that renaming ``hole -> v`` (on top of
+        the current mapping) turns ``conjunct`` into an existing
+        conjunct; None when no (unambiguous) image exists."""
+        partial = conjunct.rename(_mapping_to_rename(mapping))
+        sources = set(mapping)
+        for other, other_aliases in self.tagged:
+            if other_aliases & sources:
+                continue
+            for candidate in other_aliases:
+                trial = partial.rename(_mapping_to_rename({hole: candidate}))
+                if trial == other:
+                    return candidate
+        return None
+
+
 def _render_value(value: Value) -> str:
     if value is None:
         return "NULL"
@@ -249,25 +381,23 @@ class _Flattener:
         ``price > 500`` subplan, or X9's repeated people/person paths)
         collapse to one copy, not just isolated aliases.
         """
+        witnesses = _Witnesses(self.conjuncts)
         changed = True
         while changed:
             changed = False
             for seed in list(aliases):
                 if seed in protected:
                     continue
-                mapping = self._match_witness(seed, aliases, protected)
+                mapping = witnesses.match(seed, aliases, protected)
                 if mapping is None:
                     continue
                 sources = set(mapping)
-                self.conjuncts = [
-                    c
-                    for c in self.conjuncts
-                    if not (_conjunct_aliases(c) & sources)
-                ]
+                witnesses.drop(sources)
                 for source in sources:
                     aliases.remove(source)
                 changed = True
                 break
+        self.conjuncts = [conjunct for conjunct, _ in witnesses.tagged]
 
         doc_cols = ("pre", "size", "level", "kind", "name", "value", "data")
         renumber = {old: f"d{i + 1}" for i, old in enumerate(aliases)}
@@ -281,125 +411,6 @@ class _Flattener:
                 expr = colmap[key_name]
                 colmap[key_name] = expr.rename(rename_map)
         return [renumber[a] for a in aliases]
-
-    def _match_witness(
-        self, seed: str, aliases: list[str], protected: set[str]
-    ) -> dict[str, str] | None:
-        """Try to build a substitution ``M`` (source alias -> kept
-        alias) starting from ``seed`` such that every conjunct touching
-        a source, renamed per ``M``, already exists among the conjuncts
-        touching no source.  Returns ``M`` or ``None``."""
-        by_alias: dict[str, list[Expr]] = {}
-        for conjunct in self.conjuncts:
-            for alias in _conjunct_aliases(conjunct):
-                by_alias.setdefault(alias, []).append(conjunct)
-
-        def local_signature(alias: str) -> frozenset:
-            hole = _mapping_to_rename({alias: "d0"})
-            return frozenset(
-                c.rename(hole)
-                for c in by_alias.get(alias, ())
-                if _conjunct_aliases(c) == {alias}
-            )
-
-        seed_signature = local_signature(seed)
-        for target in aliases:
-            if target == seed or local_signature(target) != seed_signature:
-                continue
-            mapping = self._grow_mapping(
-                {seed: target}, aliases, protected, by_alias
-            )
-            if mapping is not None:
-                return mapping
-        return None
-
-    def _grow_mapping(
-        self,
-        mapping: dict[str, str],
-        aliases: list[str],
-        protected: set[str],
-        by_alias: dict[str, list[Expr]],
-    ) -> dict[str, str] | None:
-        """Extend a candidate substitution until it closes, pulling in
-        further aliases when a conjunct references one; bounded search
-        that gives up on ambiguity beyond the first consistent image."""
-        pending = list(mapping)
-        seen_conjuncts: set[int] = set()
-        budget = 64
-        while pending:
-            budget -= 1
-            if budget < 0:
-                return None
-            source = pending.pop()
-            for conjunct in by_alias.get(source, ()):
-                if id(conjunct) in seen_conjuncts:
-                    continue
-                seen_conjuncts.add(id(conjunct))
-                involved = _conjunct_aliases(conjunct)
-                unmapped = [
-                    a for a in involved if a not in mapping and a not in protected
-                ]
-                # protected aliases stay fixed (identity)
-                unresolved = [a for a in unmapped]
-                if not unresolved:
-                    if not self._image_exists(conjunct, mapping):
-                        return None
-                    continue
-                if len(unresolved) > 1:
-                    return None  # too entangled; give up
-                hole = unresolved[0]
-                image = self._find_hole_image(conjunct, mapping, hole)
-                if image is None:
-                    return None
-                if image in mapping or image == hole:
-                    return None
-                mapping[hole] = image
-                pending.append(hole)
-        # sources may not be images of other sources and must be gone
-        sources = set(mapping)
-        if sources & set(mapping.values()):
-            return None
-        # final verification: every conjunct touching a source maps to
-        # an existing conjunct among the untouched ones
-        rename = _mapping_to_rename(mapping)
-        untouched = {
-            c for c in self.conjuncts if not (_conjunct_aliases(c) & sources)
-        }
-        for conjunct in self.conjuncts:
-            if _conjunct_aliases(conjunct) & sources:
-                if conjunct.rename(rename) not in untouched:
-                    return None
-        return mapping
-
-    def _image_exists(self, conjunct: Expr, mapping: dict[str, str]) -> bool:
-        renamed = conjunct.rename(_mapping_to_rename(mapping))
-        sources = set(mapping)
-        for other in self.conjuncts:
-            if _conjunct_aliases(other) & sources:
-                continue
-            if other == renamed:
-                return True
-        return False
-
-    def _find_hole_image(
-        self, conjunct: Expr, mapping: dict[str, str], hole: str
-    ) -> str | None:
-        """The alias ``v`` such that renaming ``hole -> v`` (on top of
-        the current mapping) turns ``conjunct`` into an existing
-        conjunct; None when no (unambiguous) image exists."""
-        partial = conjunct.rename(_mapping_to_rename(mapping))
-        sources = set(mapping)
-        for other in self.conjuncts:
-            other_aliases = _conjunct_aliases(other)
-            if other_aliases & sources:
-                continue
-            for candidate in other_aliases:
-                if candidate in sources:
-                    continue
-                trial = partial.rename(_mapping_to_rename({hole: candidate}))
-                if trial == other:
-                    return candidate
-        return None
 
 
 @dataclass

@@ -44,7 +44,7 @@ def test_all_nodes_visits_shared_once():
 def test_parents_map_counts_per_slot():
     root, base, _ = small_plan()
     parents = parents_map(root)
-    assert len(parents[id(base)]) == 2  # shared by both projections
+    assert len(parents[base]) == 2  # shared by both projections
 
 
 def test_reachability():
@@ -62,7 +62,7 @@ def test_replace_node_keeps_sharing():
     assert not any(n is base for n in nodes)
     assert sum(1 for n in nodes if n is new_base) == 1
     parents = parents_map(root)
-    assert len(parents[id(new_base)]) == 2
+    assert len(parents[new_base]) == 2
 
 
 def test_replace_root():

@@ -172,3 +172,21 @@ def test_cross_keys_are_unions():
     c = Cross(left, right)
     props = infer_properties(Serialize(Project(c, [("item", "a"), ("pos", "b")])))
     assert frozenset(("a", "b")) in props.keys(c)
+
+
+def test_capped_projection_keys_stay_whole_and_deterministic():
+    """A key whose source columns are duplicated under many names
+    multiplies out; the cap keeps a sorted prefix (not a hash-ordered
+    one) at every stage, so each survivor still names a copy of *every*
+    key column — a truncated prefix of the product is not a key."""
+    rows = [(1, 1, 1), (1, 1, 1), (1, 2, 1), (2, 1, 1), (1, 1, 2)]
+    d = Distinct(LitTable(("a", "b", "c"), rows))  # its only key: {a, b, c}
+    copies = [(f"{src}{i}", src) for src, n in (("a", 5), ("b", 5), ("c", 2)) for i in range(n)]
+    p = Project(d, copies)
+    props = infer_properties(Serialize(Project(p, [("item", "a0"), ("pos", "b0")])))
+    keys = props.keys(p)
+    assert len(keys) == 16  # 50 combinations, capped
+    assert all({name[0] for name in k} == {"a", "b", "c"} for k in keys)
+    # a0 × b0..b4 × c0..c1 (10 keys), then a1 × b0..b2 × c0..c1 (6)
+    assert frozenset(("a1", "b2", "c1")) in keys
+    assert frozenset(("a1", "b3", "c0")) not in keys

@@ -188,7 +188,7 @@ def test_wrong_icols_claim_reported():
     root = small_plan()
     props = infer_properties(root)
     join = root.child.child
-    props._icols[id(join)] = frozenset(("a",))  # drop needed columns
+    props._icols[join] = frozenset(("a",))  # drop needed columns
     assert "JGI012" in codes(property_diagnostics(root, props))
 
 
@@ -196,7 +196,7 @@ def test_out_of_schema_icols_reported():
     root = small_plan()
     props = infer_properties(root)
     join = root.child.child
-    props._icols[id(join)] = props._icols[id(join)] | {"ghost"}
+    props._icols[join] = props._icols[join] | {"ghost"}
     assert "JGI013" in codes(property_diagnostics(root, props))
 
 
@@ -204,7 +204,7 @@ def test_wrong_const_claim_reported():
     root = small_plan()
     props = infer_properties(root)
     join = root.child.child
-    props._const[id(join)] = {"v": 10}
+    props._const[join] = {"v": 10}
     assert "JGI014" in codes(property_diagnostics(root, props))
 
 
@@ -212,7 +212,7 @@ def test_out_of_schema_key_reported():
     root = small_plan()
     props = infer_properties(root)
     join = root.child.child
-    props._keys[id(join)] = frozenset((frozenset(("ghost",)),))
+    props._keys[join] = frozenset((frozenset(("ghost",)),))
     assert "JGI015" in codes(property_diagnostics(root, props))
 
 
@@ -220,7 +220,7 @@ def test_wrong_set_claim_reported():
     root = small_plan()
     props = infer_properties(root)
     join = root.child.child
-    props._set[id(join)] = not props._set[id(join)]
+    props._set[join] = not props._set[join]
     assert "JGI016" in codes(property_diagnostics(root, props))
 
 
@@ -231,7 +231,7 @@ def test_false_const_claim_caught_on_data():
     root = small_plan()
     props = infer_properties(root)
     join = root.child.child
-    props._const[id(join)] = {"v": 10}  # v is 10 and 20
+    props._const[join] = {"v": 10}  # v is 10 and 20
     assert "JGI021" in codes(data_diagnostics(root, props))
 
 
@@ -239,7 +239,7 @@ def test_false_key_claim_caught_on_data():
     base = LitTable(("item", "pos", "dup"), [(1, 1, 7), (2, 2, 7)])
     root = Serialize(base)
     props = infer_properties(root)
-    props._keys[id(base)] = frozenset((frozenset(("dup",)),))
+    props._keys[base] = frozenset((frozenset(("dup",)),))
     assert "JGI022" in codes(data_diagnostics(root, props))
 
 
@@ -247,7 +247,7 @@ def test_budget_guard_skips_large_tables():
     base = LitTable(("item", "pos", "dup"), [(i, i, 7) for i in range(50)])
     root = Serialize(base)
     props = infer_properties(root)
-    props._keys[id(base)] = frozenset((frozenset(("dup",)),))
+    props._keys[base] = frozenset((frozenset(("dup",)),))
     assert data_diagnostics(root, props, max_rows=10) == []
 
 

@@ -161,7 +161,7 @@ def test_obs_subcommand_prints_summary(doc, capsys, tmp_path):
     )
     assert "-- 1 item(s) [joingraph-sql]" in out
     assert "== spans (where the time went) ==" in out
-    assert "== rewrite rules (fires per rule) ==" in out
+    assert "== rewrite rules (ranked by cost) ==" in out
     assert "== sql back-end ==" in out
     assert "== planner estimate audit (q-error) ==" in out
     assert "== analysis health" in out
