@@ -85,7 +85,7 @@ from repro.service import (
 )
 from repro.store import Collection
 
-__version__ = "1.2.0"
+__version__ = "1.3.0"
 
 __all__ = [
     "AnalysisError",

@@ -60,16 +60,12 @@ class Session:
     def shards(self) -> int:
         """How many shard partitions this session serves (1 for a
         single-backend session)."""
-        if isinstance(self._service, ShardedService):
-            return self._service.shards
-        return 1
+        return self._service.shards
 
     @property
     def documents(self) -> list[str]:
         """URIs of all loaded documents, in load order."""
-        if isinstance(self._service, ShardedService):
-            return self._service.collection.doc_uris
-        return list(self._service.store.table.doc_uris)
+        return self._service.documents
 
     @property
     def service(self) -> QueryService | ShardedService:
@@ -135,9 +131,8 @@ class Session:
         """A JSON-ready snapshot of the serving stack.
 
         ``stats()["cache"]`` carries the tiered
-        :class:`repro.CacheStats` shape (plus deprecated flat aliases
-        for one release — see ``docs/api.md``), and ``stats()["views"]``
-        the materialized-view tier's counters."""
+        :class:`repro.CacheStats` shape, and ``stats()["views"]`` the
+        materialized-view tier's counters."""
         return self._service.stats()
 
     def close(self) -> None:

@@ -93,6 +93,13 @@ class CompiledQuery:
                 )
         return self._joingraph_sql
 
+    def sql_for(self, engine: str) -> SQLQuery:
+        """The SQL text an SQL ``engine`` executes (the join-graph block
+        stands in for the interpreter engines, e.g. in diagnostics)."""
+        if engine == "stacked-sql":
+            return self.stacked_sql
+        return self.joingraph_sql
+
 
 class XQueryProcessor:
     """A relational XQuery processor over a document store.
@@ -285,10 +292,8 @@ class XQueryProcessor:
                 items = run_plan(compiled.stacked_plan)
             elif engine is Engine.ISOLATED_INTERPRETER:
                 items = run_plan(compiled.isolated_plan)
-            elif engine is Engine.STACKED_SQL:
-                items = self.backend.run(compiled.stacked_sql)
             else:
-                items = self.backend.run(compiled.joingraph_sql)
+                items = self.backend.run(compiled.sql_for(engine))
             span.set(items=len(items))
         metrics = get_metrics()
         metrics.count("pipeline.executions")

@@ -7,21 +7,17 @@ facade all produce the same shape: the item sequence plus execution
 metadata (engine, per-phase timings, shard fan-out width) and an
 attached serializer.
 
-Backward compatibility: for one release ``Result`` still *is* the bare
-item list earlier releases returned (it subclasses :class:`list`), and
-``run()``'s :class:`Serialized` still *is* the XML string — equality
-checks, indexing and substring tests written against the old API keep
-passing unchanged.  That implicit shape is deprecated; new code should
-use ``.items`` / ``.serialize()``, and :func:`legacy_items` exists for
-callers that need the old plain-list value explicitly (it warns).
+``Result`` subclasses :class:`list` and ``run()``'s
+:class:`Serialized` subclasses :class:`str`, so equality checks,
+indexing and substring tests work on them directly; ``.items`` gives
+the plain list.
 """
 
 from __future__ import annotations
 
-import warnings
 from typing import Any, Callable, Iterable, Mapping
 
-__all__ = ["Result", "Serialized", "legacy_items"]
+__all__ = ["Result", "Serialized"]
 
 
 class Result(list):
@@ -91,15 +87,3 @@ class Serialized(str):
         obj.result = result
         return obj
 
-
-def legacy_items(result: Iterable[Any]) -> list[Any]:
-    """Deprecated shim: the bare-list return value of pre-redesign
-    ``execute()``.  Exists so migrating code can make the old shape
-    explicit; warns on every call."""
-    warnings.warn(
-        "legacy_items() and the bare-list Result shape are deprecated; "
-        "use Result.items (or the Result itself — it is still a list)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return list(result)

@@ -13,7 +13,7 @@ content:
                      via :func:`repro.xquery.text.normalize_query_text`)
                      — or a canonical-pattern alias key (a reserved
                      ``\\x00canonical\\x00`` prefix no real query text
-                     can carry, see :meth:`QueryService.compile`);
+                     can carry, see :class:`repro.service.core.CacheLadder`);
 ``default_doc``      absolute paths resolve differently per default;
 ``serialize_step``   changes the compiled shape (Section 4 wrapper);
 ``disabled_rules``   ablations produce different isolated plans;
@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import TYPE_CHECKING, Any, NamedTuple
 
 from repro.obs import get_metrics
@@ -55,12 +55,7 @@ class TierStats:
     bytes: int = 0
 
     def to_dict(self) -> dict[str, int]:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-            "bytes": self.bytes,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -74,12 +69,7 @@ class CacheStats:
     ``ShardedService.cache_stats()``.  ``misses`` on the canonical and
     view tiers count lookups that *fell through* that tier; ``bytes``
     is only tracked for the view tier (compiled plans are not sized).
-
-    :meth:`to_dict` (what ``stats()["cache"]`` serves) also carries the
-    pre-1.2 flat counter keys (``hits``, ``misses``,
-    ``canonical_hits``, ``evictions``) as **deprecated aliases** — see
-    ``docs/api.md`` for the migration; they will be dropped in the
-    next release.
+    :meth:`to_dict` is what ``stats()["cache"]`` serves.
     """
 
     capacity: int = 0
@@ -97,11 +87,6 @@ class CacheStats:
                 "canonical": self.canonical.to_dict(),
                 "view": self.view.to_dict(),
             },
-            # deprecated flat aliases (pre-1.2 shape); remove next release
-            "hits": self.exact.hits,
-            "misses": self.exact.misses,
-            "canonical_hits": self.canonical.hits,
-            "evictions": self.exact.evictions,
         }
 
 

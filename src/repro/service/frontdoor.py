@@ -25,9 +25,9 @@ executor, in admission order:
    same ``run_many`` shape the service optimizes for, under an
    :class:`~repro.service.AdmissionGate` slot.
 
-Execution runs under a per-group private metrics registry (the same
-lossless-merge discipline as :meth:`QueryService._task`), which is
-what makes the **per-tenant fault ledger** possible: the injected /
+Execution runs under a per-group private metrics registry (a
+:class:`~repro.service.core.MetricsBridge`, the same lossless merge
+the worker pools use), which is what makes the **per-tenant fault ledger** possible: the injected /
 retried / degraded / surfaced tallies of each execution are read off
 the group's registry and attributed to the tenant that triggered it,
 so ``injected == retried + degraded + surfaced`` can be asserted per
@@ -64,9 +64,10 @@ from repro.errors import (
     ServiceOverloaded,
 )
 from repro.obs import Histogram, latency_summary_ms
-from repro.obs.metrics import MetricsRegistry, get_metrics, set_metrics
+from repro.obs.metrics import MetricsRegistry, get_metrics
 from repro.pipeline import CompiledQuery
 from repro.result import Result
+from repro.service.core import MetricsBridge
 from repro.service.resilience import AdmissionGate
 from repro.service.scatter import ShardedService, scatter_uris
 from repro.service.service import QueryService
@@ -118,13 +119,15 @@ class _TenantState:
         self.latency = Histogram()
         self.faults = dict.fromkeys(LEDGER_KEYS, 0)
 
+    def _balanced(self) -> bool:
+        faults = self.faults
+        return faults["injected"] == (
+            faults["retried"] + faults["degraded"] + faults["surfaced"]
+        )
+
     def ledger_balanced(self) -> bool:
         with self.lock:
-            return self.faults["injected"] == (
-                self.faults["retried"]
-                + self.faults["degraded"]
-                + self.faults["surfaced"]
-            )
+            return self._balanced()
 
     def stats(self) -> dict[str, Any]:
         with self.lock:
@@ -140,12 +143,7 @@ class _TenantState:
                 "errors": dict(self.errors),
                 "latency_ms": latency_summary_ms(self.latency),
                 "faults": dict(self.faults),
-                "ledger_balanced": self.faults["injected"]
-                == (
-                    self.faults["retried"]
-                    + self.faults["degraded"]
-                    + self.faults["surfaced"]
-                ),
+                "ledger_balanced": self._balanced(),
             }
 
 
@@ -486,11 +484,9 @@ class FrontDoor:
     # -- execution (worker threads) ------------------------------------
 
     def _execute_batch(self, batch: list[_Request]) -> None:
-        outer = MetricsRegistry()
-        previous = get_metrics()
-        set_metrics(outer)
         touched: set[int] = set()
-        try:
+        bridge = MetricsBridge(self._merge_lock, into=self.metrics)
+        with bridge.scope() as outer:
             outer.count("service.frontdoor.batches")
             outer.count("service.frontdoor.batched", len(batch))
             with self._gate.slot():
@@ -498,10 +494,6 @@ class FrontDoor:
                     touched |= self._execute_group(group, outer)
             if self._working_set is not None:
                 self._working_set.after_batch(touched)
-        finally:
-            set_metrics(previous)
-            with self._merge_lock:
-                self.metrics.merge(outer)
 
     def _coalesce(
         self, batch: list[_Request], metrics: MetricsRegistry
@@ -537,26 +529,21 @@ class FrontDoor:
         ledger delta is attributed to the leading tenant.  Returns the
         shards the execution touched (working-set recency)."""
         leader = group.requests[0]
-        local = MetricsRegistry()
-        previous = get_metrics()
-        set_metrics(local)
         result: Result | None = None
         error: BaseException | None = None
-        try:
-            result = self.service.execute(
-                group.compiled,
-                group.engine,
-                deadline_s=leader.deadline_s,
-            )
-        except Exception as exc:
-            # typed ServiceErrors and surfaced injected backend faults
-            # alike belong to every coalesced waiter
-            error = exc
-        finally:
-            set_metrics(previous)
+        with MetricsBridge().scope() as local:
+            try:
+                result = self.service.execute(
+                    group.compiled,
+                    group.engine,
+                    deadline_s=leader.deadline_s,
+                )
+            except Exception as exc:
+                # typed ServiceErrors and surfaced injected backend
+                # faults alike belong to every coalesced waiter
+                error = exc
+            self._attribute(leader.tenant, local)
         outer.count("service.frontdoor.executions")
-        self._attribute(leader.tenant, local)
-        outer.merge(local)
         for request in group.requests:
             self._resolve(request, result=result, error=error)
         return self._touched_shards(group.compiled)

@@ -57,8 +57,7 @@ from dataclasses import replace
 from typing import Any, Callable, NamedTuple
 
 from repro import errors as _errors
-from repro.errors import DeadlineExceeded, ServiceError
-from repro.errors import WorkerCrash as _WorkerCrash
+from repro.errors import DeadlineExceeded, ServiceError, WorkerCrash
 from repro.faults.injector import (
     FaultInjector,
     FaultPlan,
@@ -77,27 +76,11 @@ from repro.service.resilience import (
     is_connection_death,
 )
 
-__all__ = ["ProcessShardExecutor", "ShippedPlan", "WorkerCrash"]
+__all__ = ["ProcessShardExecutor", "ShippedPlan"]
 
 #: seed spacing between derived per-worker fault plans — each worker
 #: draws an independent, reproducible fault sequence
 _WORKER_SEED_STRIDE = 7919
-
-
-def __getattr__(name: str):
-    # deprecated re-export shim: WorkerCrash moved to repro.errors as
-    # part of the consolidated error hierarchy (see docs/api.md)
-    if name == "WorkerCrash":
-        import warnings
-
-        warnings.warn(
-            "importing WorkerCrash from repro.service.procpool is "
-            "deprecated; import it from repro.errors",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return _WorkerCrash
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class ShippedPlan(NamedTuple):
@@ -462,7 +445,7 @@ class ProcessShardExecutor:
             return conn.recv()
         except (EOFError, BrokenPipeError, OSError) as cause:
             self._restart(worker)
-            raise _WorkerCrash(
+            raise WorkerCrash(
                 f"shard worker {worker.name} died mid-request "
                 f"({type(cause).__name__}); restarted"
             ) from cause

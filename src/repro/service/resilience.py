@@ -45,6 +45,7 @@ from repro.errors import (
     DeadlineExceeded,
     PoolRetiredError,
     ServiceOverloaded,
+    WorkerCrash,
 )
 from repro.obs import get_metrics
 
@@ -203,8 +204,9 @@ _CONNECTION_DEATH_MARKERS = ("connection died", "closed database")
 
 
 def is_transient(error: BaseException) -> bool:
-    """Is ``error`` worth retrying (bounded, with backoff)?"""
-    if isinstance(error, PoolRetiredError):
+    """Is ``error`` worth retrying (bounded, with backoff)?  A retired
+    pool is rebuilt and a crashed worker restarted before the retry."""
+    if isinstance(error, (PoolRetiredError, WorkerCrash)):
         return True
     if isinstance(error, (sqlite3.OperationalError, sqlite3.ProgrammingError)):
         message = str(error).lower()

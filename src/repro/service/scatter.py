@@ -35,62 +35,52 @@ across two sources, FLWOR-ordered results, boolean results, the
 the lazily materialized combined store, so differential agreement with
 a single-backend processor holds universally.
 
-Resilience composes with PR 4's machinery: each shard runs under its
-own :class:`QueryService` (deadline spans the fan-out via remaining
-budget, retries/breaker/degrade apply per shard), and when a shard
-still fails with degradation enabled the whole query falls back to the
-serial path — partial results are never returned.
+This class is the collection shell around the shared serving core
+(:mod:`repro.service.core`): the cache ladder, the serving boundary
+and the resilient call are the ones :class:`QueryService` uses.  Each
+shard runs under its own :class:`QueryService` (deadline spans the
+fan-out via remaining budget, retries/breaker/degrade apply per shard)
+or, with ``executor="process"``, on a worker process under the same
+resilient call; when a shard still fails with degradation enabled the
+whole query falls back to the serial path — partial results are never
+returned.
 """
 
 from __future__ import annotations
 
 import heapq
 import os
-import sqlite3
 import threading
 import time
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import fields, is_dataclass
-from typing import Any, Iterable, Sequence
+from functools import partial
+from typing import Any, Callable, Iterable, Sequence
 
 from repro.analysis.containment import (
     TreePattern,
     canonicalize,
     extract_pattern,
-    pattern_key,
     pattern_selects,
 )
 from repro.engines import Engine
-from repro.errors import (
-    BackendUnavailable,
-    DeadlineExceeded,
-    ServiceError,
-    WorkerCrash,
-)
-from repro.faults.injector import is_injected
+from repro.errors import ServiceError
 from repro.infoset.encoding import DocumentStore
 from repro.obs import get_metrics, get_tracer
-from repro.obs.flight import (
-    FlightContext,
-    FlightRecorder,
-    adopt_context,
-    current_context,
-    flight_capture,
-    span_tree,
-)
-from repro.obs.metrics import MetricsRegistry, set_metrics
-from repro.obs.tracer import Span
+from repro.obs.flight import FlightContext, FlightRecorder, current_context
 from repro.pipeline import CompiledQuery, XQueryProcessor
 from repro.result import Result, Serialized
-from repro.service.cache import CacheKey, CacheStats, CompiledQueryCache, TierStats
-from repro.service.procpool import ProcessShardExecutor, ShippedPlan
-from repro.service.resilience import Deadline, RetryPolicy, is_transient
-from repro.service.service import (
-    _CANONICAL_NS,
-    QueryService,
-    canonical_pattern_of,
+from repro.service.cache import CacheKey, CacheStats
+from repro.service.core import (
+    CacheLadder,
+    FaultLedger,
+    MetricsBridge,
+    ServingBoundary,
+    resilient_call,
 )
-from repro.service.views import ViewManager
+from repro.service.procpool import ProcessShardExecutor, ShippedPlan
+from repro.service.resilience import Deadline, RetryPolicy
+from repro.service.service import QueryService
 from repro.store import Collection
 from repro.xquery.core import (
     CoreCollection,
@@ -101,7 +91,6 @@ from repro.xquery.core import (
     CoreLet,
     CoreVar,
 )
-from repro.xquery.text import normalize_query_text
 
 __all__ = ["ShardedService", "scatter_uris"]
 
@@ -241,7 +230,7 @@ class ShardedService:
         Worker threads per shard service; the scatter fan-out runs one
         in-flight plan per shard, so 1 is the natural width.
     parallel_fanout:
-        ``True`` dispatches shard plans onto the shard services' worker
+        ``True`` dispatches shard plans onto parent-side dispatch
         threads concurrently; ``False`` runs them sequentially in the
         calling thread (still through each shard's full resilience
         stack).  The default ``None`` picks by ``os.cpu_count()``: on a
@@ -319,16 +308,6 @@ class ShardedService:
             # thread fan-out on a single core is pure scheduling cost
             parallel_fanout = (os.cpu_count() or 1) > 1
         self.parallel_fanout = parallel_fanout
-        # exactly one flight record per query, at this serving
-        # boundary: the shard services and the serial fallback are
-        # constructed with recording off and annotate this service's
-        # per-query context instead
-        if flight_recorder is not None:
-            self.flight: FlightRecorder | None = flight_recorder
-        elif flight:
-            self.flight = FlightRecorder(slow_threshold_s=slow_threshold_s)
-        else:
-            self.flight = None
         # the compile-side processor: bound to an empty store (compiled
         # SQL never executes against it), resolving collection() globs
         # against the *whole* collection so plans name every member
@@ -341,19 +320,34 @@ class ShardedService:
             checked=checked,
             collections=collection.resolve,
         )
-        self.cache = CompiledQueryCache(cache_capacity)
-        # the view tier answers in *global* ranks at this boundary; the
-        # shard services and the serial fallback run with views off so
-        # bookkeeping happens exactly once per query
-        if views and not serialize_step:
-            self.views: ViewManager | None = ViewManager(
-                self._view_filter,
-                budget_bytes=view_budget_bytes,
-                admit_after=view_admit_after,
-            )
-        else:
-            self.views = None
-        self._compile_lock = threading.Lock()
+        # the view tier answers in *global* ranks at this boundary, and
+        # exactly one flight record is written per query here: the
+        # shard services and the serial fallback run with views and
+        # recording off and annotate this service's per-query context
+        self._ladder = CacheLadder(
+            self._compiler,
+            collection,
+            self._view_filter,
+            capacity=cache_capacity,
+            collection=f"shards:{collection.shards}",
+            views=views,
+            view_budget_bytes=view_budget_bytes,
+            view_admit_after=view_admit_after,
+        )
+        self.cache = self._ladder.cache
+        self.views = self._ladder.views
+        self._boundary = ServingBoundary(
+            self._ladder,
+            flight=flight,
+            flight_recorder=flight_recorder,
+            slow_threshold_s=slow_threshold_s,
+            shards=collection.shards,
+            serializer=self.serialize,
+            explain=self._explain,
+            breaker_state=self._breaker_state,
+        )
+        self.flight = self._boundary.recorder
+        self._ledger = FaultLedger()
         self._service_config = dict(
             default_doc=default_doc,
             serialize_step=serialize_step,
@@ -372,8 +366,7 @@ class ShardedService:
             views=False,
         )
         self._shard_services: list[QueryService] = [
-            QueryService(store=store, **self._service_config)
-            for store in collection.stores
+            self._component(store) for store in collection.stores
         ]
         # per-shard plan specializers, built lazily: same front-end
         # configuration, but collection() resolves to only the member
@@ -383,20 +376,17 @@ class ShardedService:
         ]
         self._serial_service: QueryService | None = None
         self._serial_lock = threading.Lock()
-        # process-executor state (lazy: thread mode never pays for it).
-        # The parent owns every retry/degrade/surface decision for
-        # worker-raised faults, so the ledger lives here, not in the
-        # workers — one disposition per injected failure, same as
-        # QueryService's accounting.
+        # fan-out and process-executor state (lazy: a sequential
+        # thread-mode service never pays for it).  The parent owns
+        # every retry/degrade/surface decision for worker-raised
+        # faults, so their ledger lives here, not in the workers.
         self._workers_per_shard = workers_per_shard
         self._indexes = indexes
         self._retry = retry if retry is not None else RetryPolicy()
         self._procpool: ProcessShardExecutor | None = None
         self._procpool_lock = threading.Lock()
-        self._dispatch: ThreadPoolExecutor | None = None
-        self._proc_accounting = {"retry": 0, "degrade": 0, "surface": 0}
-        self._proc_accounting_lock = threading.Lock()
-        self._proc_merge_lock = threading.Lock()
+        self._dispatch: dict[int, ThreadPoolExecutor] = {}
+        self._merge_lock = threading.Lock()
         self._closed = False
 
     # -- documents -----------------------------------------------------
@@ -404,6 +394,11 @@ class ShardedService:
     @property
     def shards(self) -> int:
         return self.collection.shards
+
+    @property
+    def documents(self) -> list[str]:
+        """URIs of all loaded documents, in load order."""
+        return self.collection.doc_uris
 
     @property
     def default_doc(self) -> str | None:
@@ -424,11 +419,9 @@ class ShardedService:
             with self._serial_lock:
                 if self._serial_service is not None:
                     self._serial_service.processor.default_doc = uri
-        self.cache.invalidate(store_version=self.collection.version)
-        if self.views is not None:
-            # a graft shifts global rank offsets and changes results:
-            # every materialized view is stale (never-stale contract)
-            self.views.invalidate(store_version=self.collection.version)
+        # a graft shifts global rank offsets and changes results:
+        # every plan and materialized view is stale
+        self._ladder.invalidate()
         # the shard that received the document must drop its pool;
         # QueryService.load would do this, but the collection already
         # loaded the row — retire explicitly instead
@@ -442,16 +435,6 @@ class ShardedService:
             self.flight.mark_epoch()
 
     # -- compilation ---------------------------------------------------
-
-    def _cache_key(self, query: str) -> CacheKey:
-        return CacheKey(
-            query=query,
-            default_doc=self._compiler.default_doc,
-            serialize_step=self._compiler.serialize_step,
-            disabled_rules=self._compiler.disabled_rules,
-            store_version=self.collection.version,
-            collection=f"shards:{self.collection.shards}",
-        )
 
     def _view_filter(
         self, pattern: TreePattern, rows: Sequence[int]
@@ -471,76 +454,10 @@ class ShardedService:
 
     def compile(self, query: str) -> CompiledQuery:
         """The compiled artifact for ``query``, resolved against the
-        whole collection — from cache when possible.
-
-        Mirrors :meth:`QueryService.compile`'s three tiers: lexically
-        normalized exact key, canonical tree-pattern alias key
-        (semantically equivalent spellings share one artifact), then a
-        cold compile stored under both keys.  (The execution path adds
-        the *view* tier — see :meth:`_resolve`.)
-        """
-        compiled, _ = self._resolve(query, allow_view=False)
-        assert compiled is not None
-        return compiled
-
-    def _resolve(
-        self, query: str, allow_view: bool = True
-    ) -> tuple[CompiledQuery | None, list[int] | None]:
-        """The collection-level cache-tier ladder (lexical → exact →
-        canonical → view → cold compile), mirroring
-        :meth:`QueryService._resolve`; a view answer returns global
-        ranks directly and skips compilation and fan-out entirely."""
-        text = normalize_query_text(query)
-        key = self._cache_key(text)
-        flight = current_context()
-        compiled = self.cache.get(key)
-        if compiled is not None:
-            if flight is not None:
-                flight.note_cache("exact")
-            return compiled, None
-        with self._compile_lock:
-            compiled = self.cache.peek(key)
-            if compiled is not None:
-                if flight is not None:
-                    flight.note_cache("single-flight-wait")
-                return compiled, None
-            pattern = canonical_pattern_of(
-                text,
-                self._compiler.default_doc,
-                self._compiler.collections,
-            )
-            alias = (
-                key._replace(query=_CANONICAL_NS + pattern_key(pattern))
-                if pattern is not None
-                else None
-            )
-            if alias is not None:
-                compiled = self.cache.get_canonical(alias)
-                if compiled is not None:
-                    # back-fill the exact key so this spelling hits
-                    # tier 1 from now on
-                    self.cache.put(key, compiled)
-                    if flight is not None:
-                        flight.note_cache("canonical")
-                    return compiled, None
-            if allow_view and self.views is not None and pattern is not None:
-                rows = self.views.answer(pattern, self.collection.version)
-                if rows is not None:
-                    if flight is not None:
-                        flight.note_cache("view")
-                    return None, rows
-            rewrite_start = time.perf_counter_ns()
-            compiled = self._compiler.compile(text)
-            _ = (compiled.stacked_sql, compiled.joingraph_sql)
-            if flight is not None:
-                flight.note_cache("miss")
-                flight.add_phase(
-                    "rewrite", time.perf_counter_ns() - rewrite_start
-                )
-            self.cache.put(key, compiled)
-            if alias is not None:
-                self.cache.put(alias, compiled)
-        return compiled, None
+        whole collection — from the plan cache when possible (see
+        :class:`~repro.service.core.CacheLadder`; the view tier only
+        answers on the execution path)."""
+        return self._ladder.compile(query)
 
     def _shard_resolver(self, shard: int):
         def resolve(patterns: tuple[str, ...]) -> tuple[str, ...]:
@@ -551,6 +468,11 @@ class ShardedService:
             )
 
         return resolve
+
+    def _shard_key(self, compiled: CompiledQuery, shard: int) -> CacheKey:
+        return self._ladder.key(compiled.source)._replace(
+            collection=f"shards:{self.collection.shards}:{shard}"
+        )
 
     def _shard_compiled(
         self, compiled: CompiledQuery, shard: int
@@ -566,13 +488,11 @@ class ShardedService:
         range, turning indexed point-lookups into per-shard table
         scans.  Variants are cached like any compiled plan.
         """
-        key = self._cache_key(compiled.source)._replace(
-            collection=f"shards:{self.collection.shards}:{shard}"
-        )
+        key = self._shard_key(compiled, shard)
         variant = self.cache.get(key)
         if variant is not None:
             return variant
-        with self._compile_lock:
+        with self._ladder.lock:
             variant = self.cache.peek(key)
             if variant is not None:
                 return variant
@@ -617,74 +537,19 @@ class ShardedService:
         """
         if self._closed:
             raise RuntimeError("sharded service is closed")
-        engine = Engine.of(engine)
-        started = time.perf_counter_ns()
         budget = self.deadline_s if deadline_s is None else deadline_s
-        deadline = Deadline.after(budget) if budget is not None else None
-        metrics = get_metrics()
-        recorder = self.flight
-        with flight_capture(own=recorder is not None) as flight:
-            compiled: CompiledQuery | None = None
-            qspan = get_tracer().span(
-                "service.query", engine=engine.value, sharded=True
-            )
-            try:
-                with qspan:
-                    result = self._execute_classified(
-                        query, engine, deadline, started, metrics, flight
-                    )
-            except ServiceError as error:
-                if recorder is not None and flight is not None:
-                    # the plan usually made it into the cache before
-                    # the failure, so EXPLAIN diagnostics still work
-                    compiled = self._last_compiled(query)
-                    self._flight_record(
-                        recorder, flight, query, compiled, engine,
-                        started, budget, deadline, qspan, error=error,
-                    )
-                raise
-            if recorder is not None and flight is not None:
-                self._flight_record(
-                    recorder, flight, query, self._last_compiled(query),
-                    engine, started, budget, deadline, qspan,
-                )
-            return result
+        return self._boundary.serve(query, engine, budget, self._run)
 
-    def _execute_classified(
+    def _run(
         self,
-        query: str | CompiledQuery,
+        compiled: CompiledQuery,
         engine: Engine,
         deadline: Deadline | None,
-        started: int,
-        metrics: Any,
         flight: FlightContext | None,
-    ) -> Result:
-        if isinstance(query, CompiledQuery):
-            compiled = query
-            if flight is not None:
-                flight.note_cache("precompiled")
-        else:
-            compile_start = time.perf_counter_ns()
-            compiled, view_rows = self._resolve(query)
-            if flight is not None:
-                flight.add_phase(
-                    "compile", time.perf_counter_ns() - compile_start
-                )
-            if view_rows is not None:
-                # answered from a materialized view (global ranks):
-                # no compilation, no fan-out, no merge
-                if flight is not None:
-                    flight.note_rows(len(view_rows))
-                return Result(
-                    view_rows,
-                    engine=engine,
-                    timings={
-                        "execute_ns": time.perf_counter_ns() - started
-                    },
-                    shards=1,
-                    serializer=self.serialize,
-                )
-            assert compiled is not None
+    ) -> tuple[list[Any], int, dict[str, int]]:
+        """Execute a compiled plan (the boundary's ``run``): classify,
+        then scatter across the hosting shards or run serially."""
+        metrics = get_metrics()
         uris = None
         if engine in Engine.sql_engines() and not self.serialize_step:
             uris = scatter_uris(compiled.core)
@@ -697,16 +562,7 @@ class ShardedService:
                 engine,
                 deadline_s=_remaining(deadline),
             )
-            if flight is not None:
-                flight.note_rows(len(items))
-            self._observe_view(query, compiled, items)
-            return Result(
-                items,
-                engine=engine,
-                timings={"execute_ns": time.perf_counter_ns() - started},
-                shards=1,
-                serializer=self.serialize,
-            )
+            return items, 1, {}
 
         known = [uri for uri in uris if uri in self.collection]
         if len(known) != len(uris):
@@ -722,48 +578,9 @@ class ShardedService:
         metrics.count("service.scatter.queries")
         metrics.count(f"service.scatter.queries.{engine.value}")
         metrics.observe("service.scatter.fanout", len(shards))
-        elapsed = time.perf_counter_ns() - started
-        metrics.observe("service.scatter.query_ns", elapsed)
         if flight is not None:
             flight.add_phase("merge", merge_ns)
-            flight.note_rows(len(merged))
-        self._observe_view(query, compiled, merged)
-        return Result(
-            merged,
-            engine=engine,
-            timings={"execute_ns": elapsed, "merge_ns": merge_ns},
-            shards=max(1, len(shards)),
-            serializer=self.serialize,
-        )
-
-    def _observe_view(
-        self,
-        query: str | CompiledQuery,
-        compiled: CompiledQuery,
-        items: Sequence[Any],
-    ) -> None:
-        """View-admission bookkeeping after a normal execution: the
-        merged/serial global-rank sequence is exactly what a view for
-        this pattern should serve."""
-        if self.views is not None and isinstance(query, str):
-            self.views.observe(
-                compiled.source,
-                compiled.core,
-                self.collection.version,
-                items,
-            )
-
-    def _last_compiled(
-        self, query: str | CompiledQuery
-    ) -> CompiledQuery | None:
-        """The compiled artifact for a just-served query (cache lookup
-        only — never compiles), for the slow-capture diagnostics."""
-        if isinstance(query, CompiledQuery):
-            return query
-        try:
-            return self.cache.peek(self._cache_key(normalize_query_text(query)))
-        except Exception:
-            return None
+        return merged, max(1, len(shards)), {"merge_ns": merge_ns}
 
     def _breaker_state(self) -> str:
         """The worst breaker state across the shard services (open >
@@ -777,55 +594,14 @@ class ShardedService:
                 return state
         return "closed"
 
-    def _flight_record(
-        self,
-        recorder: FlightRecorder,
-        flight: FlightContext,
-        query: str | CompiledQuery,
-        compiled: CompiledQuery | None,
-        engine: Engine,
-        start_ns: int,
-        budget: float | None,
-        deadline: Deadline | None,
-        qspan: Any,
-        error: BaseException | None = None,
-    ) -> None:
-        elapsed = time.perf_counter_ns() - start_ns
-        if compiled is not None:
-            text = compiled.source
-        else:
-            text = query if isinstance(query, str) else query.source
-        consumed: float | None = None
-        if deadline is not None and budget:
-            consumed = min(1.0, deadline.elapsed() / budget)
-        trace = [span_tree(qspan)] if isinstance(qspan, Span) else []
-
-        def detail() -> dict[str, Any]:
-            diagnostics: dict[str, Any] = {"trace": trace}
-            if compiled is not None:
-                # any shard's schema explains the collection-wide SQL;
-                # prefer the serial store when it is already built
-                with self._serial_lock:
-                    service = self._serial_service
-                if service is None:
-                    service = self._shard_services[0]
-                diagnostics["explain"] = service._flight_explain(
-                    compiled, engine
-                )
-            return diagnostics
-
-        recorder.record(
-            query_text=text,
-            engine=engine.value,
-            status="ok" if error is None else f"error:{type(error).__name__}",
-            context=flight,
-            elapsed_ns=elapsed,
-            shards=self.collection.shards,
-            breaker=self._breaker_state(),
-            deadline_budget_s=budget,
-            deadline_consumed=consumed,
-            detail=detail,
-        )
+    def _explain(self, compiled: CompiledQuery, engine: Engine) -> list[str]:
+        """EXPLAIN rows for a slow capture: any shard's schema explains
+        the collection-wide SQL; prefer the serial store when built."""
+        with self._serial_lock:
+            service = self._serial_service
+        if service is None:
+            service = self._shard_services[0]
+        return service._flight_explain(compiled, engine)
 
     def _scatter(
         self,
@@ -839,7 +615,25 @@ class ShardedService:
         tracer = get_tracer()
         if not shards:
             return [], 0
-        remaining = _remaining(deadline)
+        _remaining(deadline)  # a spent budget surfaces before any dispatch
+        # what runs one shard is chosen once, from the executor; how
+        # the shards are visited (routed, sequential, parallel) is not
+        # its concern
+        run: Callable[[int], list[int]]
+        if self.executor == "process":
+            run = partial(self._process_execute, compiled, engine, deadline)
+        else:
+            # specialized on this thread: a cold variant compiles here,
+            # not on a dispatch thread next to its SQLite connection
+            variants = {
+                shard: self._shard_compiled(compiled, shard) for shard in shards
+            }
+
+            def run(shard: int) -> list[int]:
+                return self._shard_services[shard].execute(
+                    variants[shard], engine, deadline_s=_remaining(deadline)
+                )
+
         with tracer.span(
             "service.scatter", engine=engine.value, shards=len(shards)
         ):
@@ -848,85 +642,35 @@ class ShardedService:
                 get_metrics().count("service.scatter.routed")
                 shard = shards[0]
                 with tracer.span("service.scatter.shard", shard=shard):
-                    if self.executor == "process":
-                        items = self._process_execute(
-                            compiled, engine, shard, deadline
-                        )
-                    else:
-                        items = self._shard_services[shard].execute(
-                            self._shard_compiled(compiled, shard),
-                            engine,
-                            deadline_s=remaining,
-                        )
+                    items = run(shard)
                 started = time.perf_counter_ns()
                 merged = self.collection.to_global(shard, items)
                 return merged, time.perf_counter_ns() - started
 
+            pending: list[Callable[[], list[int]]]
+            if self.parallel_fanout:
+                # dispatch threads mostly wait — on SQLite with the GIL
+                # released, or on a worker process's pipe
+                pending = [
+                    self._dispatch_pool(shard)
+                    .submit(MetricsBridge(self._merge_lock).run, run, shard)
+                    .result
+                    for shard in shards
+                ]
+            else:
+                pending = [partial(run, shard) for shard in shards]
             per_shard: list[list[int]] = []
             failure: BaseException | None = None
-            if self.parallel_fanout:
-                futures: list[tuple[int, Future[Any]]]
-                if self.executor == "process":
-                    # parent dispatch threads only coordinate pipes —
-                    # the worker *processes* execute concurrently
-                    pool = self._dispatch_pool()
-                    futures = [
-                        (
-                            shard,
-                            pool.submit(
-                                self._process_task,
-                                get_metrics(),
-                                current_context(),
-                                compiled,
-                                engine,
-                                shard,
-                                deadline,
-                            ),
-                        )
-                        for shard in shards
-                    ]
-                else:
-                    futures = [
-                        (
-                            shard,
-                            self._shard_services[shard].submit(
-                                self._shard_compiled(compiled, shard),
-                                engine,
-                                deadline_s=remaining,
-                            ),
-                        )
-                        for shard in shards
-                    ]
-                for shard, future in futures:
-                    try:
-                        items = future.result()
-                    except ServiceError as error:
-                        get_metrics().count("service.scatter.shard_failures")
-                        if failure is None:
-                            failure = error
-                        continue
+            for shard, wait in zip(shards, pending):
+                try:
+                    items = wait()
+                except ServiceError as error:
+                    get_metrics().count("service.scatter.shard_failures")
                     if failure is None:
-                        per_shard.append(self.collection.to_global(shard, items))
-            else:
-                for shard in shards:
-                    try:
-                        if self.executor == "process":
-                            items = self._process_execute(
-                                compiled, engine, shard, deadline
-                            )
-                        else:
-                            items = self._shard_services[shard].execute(
-                                self._shard_compiled(compiled, shard),
-                                engine,
-                                deadline_s=_remaining(deadline),
-                            )
-                    except ServiceError as error:
-                        get_metrics().count("service.scatter.shard_failures")
-                        if failure is None:
-                            failure = error
-                        continue
-                    if failure is None:
-                        per_shard.append(self.collection.to_global(shard, items))
+                        failure = error
+                    continue
+                if failure is None:
+                    per_shard.append(self.collection.to_global(shard, items))
             if failure is not None:
                 if not self.degrade_enabled:
                     raise failure
@@ -964,19 +708,18 @@ class ShardedService:
                 )
             return self._procpool
 
-    def _dispatch_pool(self) -> ThreadPoolExecutor:
-        """Parent-side threads that drive the worker pipes during a
-        parallel fan-out; they block on I/O, so the GIL is idle while
-        the worker processes compute."""
+    def _dispatch_pool(self, shard: int) -> ThreadPoolExecutor:
+        """The shard's parent-side dispatch threads for a parallel
+        fan-out (either executor).  Per shard, so a shard's pooled
+        SQLite connections stay with the same few threads."""
         with self._procpool_lock:
-            if self._dispatch is None:
-                self._dispatch = ThreadPoolExecutor(
-                    max_workers=max(
-                        1, self.collection.shards * self._workers_per_shard
-                    ),
-                    thread_name_prefix="repro-dispatch",
+            pool = self._dispatch.get(shard)
+            if pool is None:
+                pool = self._dispatch[shard] = ThreadPoolExecutor(
+                    max_workers=self._workers_per_shard,
+                    thread_name_prefix=f"repro-dispatch-{shard}",
                 )
-            return self._dispatch
+            return pool
 
     def _shipped_plan(
         self, compiled: CompiledQuery, engine: Engine, shard: int
@@ -984,117 +727,49 @@ class ShardedService:
         """The shard-specialized plan in shippable form, keyed by the
         same canonical cache key the compiled-plan cache uses — the
         worker's plan cache and the parent's stay in lockstep."""
-        variant = self._shard_compiled(compiled, shard)
-        sql = (
-            variant.stacked_sql
-            if engine == "stacked-sql"
-            else variant.joingraph_sql
-        )
-        key = self._cache_key(compiled.source)._replace(
-            collection=f"shards:{self.collection.shards}:{shard}"
-        )
+        sql = self._shard_compiled(compiled, shard).sql_for(engine)
         return ShippedPlan(
-            key=(key, engine.value),
+            key=(self._shard_key(compiled, shard), engine.value),
             sql_text=sql.text,
             item_index=sql.select_aliases.index(sql.item_alias),
         )
-
-    def _process_task(
-        self,
-        registry: MetricsRegistry,
-        context: FlightContext | None,
-        compiled: CompiledQuery,
-        engine: Engine,
-        shard: int,
-        deadline: Deadline | None,
-    ) -> list[int]:
-        # dispatch-thread bridge, mirroring QueryService._task: record
-        # into a private registry and merge into the submitting
-        # thread's under a lock; adopt the submitter's flight context
-        local = MetricsRegistry()
-        previous = set_metrics(local)
-        try:
-            with adopt_context(context):
-                return self._process_execute(compiled, engine, shard, deadline)
-        finally:
-            set_metrics(previous)
-            with self._proc_merge_lock:
-                registry.merge(local)
 
     def _process_execute(
         self,
         compiled: CompiledQuery,
         engine: Engine,
-        shard: int,
         deadline: Deadline | None,
+        shard: int,
     ) -> list[int]:
         """One shard execution on the process executor under the
-        parent-side resilience stack — the process-mode analog of
-        :meth:`QueryService._run_pooled` (no pool, no breaker: the
-        worker owns exactly one connection and a crash is already
-        handled by restart-and-retry)."""
+        parent-side resilient call.  No breaker: the worker owns
+        exactly one connection and a crash is already handled by
+        restart-and-retry.  No last resort here either: exhaustion
+        raises :class:`BackendUnavailable` and :meth:`_scatter` answers
+        it with the whole-query serial fallback."""
         plan = self._shipped_plan(compiled, engine, shard)
         store = self.collection.stores[shard]
         executor = self._process_pool()
-        metrics = get_metrics()
-        tracer = get_tracer()
-        attempt = 0
-        while True:
-            try:
-                return executor.execute(
-                    shard,
-                    plan,
-                    version=store.version,
-                    payload=lambda: self.collection.shard_payload(
-                        shard, self._indexes
-                    ),
-                    budget_s=_remaining(deadline),
-                )
-            except DeadlineExceeded as error:
-                metrics.count("service.deadline.exceeded")
-                self._proc_account(error, "surface")
-                raise
-            except (sqlite3.Error, WorkerCrash) as error:
-                if isinstance(error, sqlite3.Error) and not is_transient(
-                    error
-                ):
-                    raise
-                if self._retry.allows(attempt, deadline):
-                    self._proc_account(error, "retry")
-                    metrics.count("service.retry.attempts")
-                    flight = current_context()
-                    if flight is not None:
-                        flight.note_retry()
-                    with tracer.span(
-                        "service.retry", attempt=attempt, error=str(error)
-                    ):
-                        metrics.observe(
-                            "service.retry.backoff_s",
-                            self._retry.pause(attempt, deadline),
-                        )
-                    attempt += 1
-                    continue
-                metrics.count("service.retry.exhausted")
-                if self.degrade_enabled:
-                    # the caller's serial fallback is the degraded
-                    # path; this failure's disposition is decided here
-                    self._proc_account(error, "degrade")
-                else:
-                    self._proc_account(error, "surface")
-                raise BackendUnavailable(
-                    f"shard {shard} worker failure persisted through "
-                    f"{self._retry.max_retries} retries: {error}"
-                ) from error
 
-    def _proc_account(self, error: BaseException, disposition: str) -> None:
-        """Tally how an injected worker fault was handled — the
-        parent-side half of the cross-process chaos ledger (worker
-        injection tallies flow back via the executor's fault deltas)."""
-        if not is_injected(error):
-            return
-        with self._proc_accounting_lock:
-            self._proc_accounting[disposition] += 1
-        get_metrics().count(f"service.faults.handled.{disposition}")
+        def attempt() -> list[int]:
+            return executor.execute(
+                shard,
+                plan,
+                version=store.version,
+                payload=lambda: self.collection.shard_payload(
+                    shard, self._indexes
+                ),
+                budget_s=_remaining(deadline),
+            )
+
+        return resilient_call(
+            attempt,
+            retry=self._retry,
+            deadline=deadline,
+            ledger=self._ledger,
+            caller_degrades=self.degrade_enabled,
+            what=f"shard {shard} worker",
+        )
 
     def _serial(self) -> QueryService:
         """The serial fallback service over the combined store, built
@@ -1102,11 +777,21 @@ class ShardedService:
         with self._serial_lock:
             if self._serial_service is None:
                 get_metrics().count("service.scatter.serial_materializations")
-                self._serial_service = QueryService(
-                    store=self.collection.combined_store(),
-                    **self._service_config,
+                self._serial_service = self._component(
+                    self.collection.combined_store()
                 )
             return self._serial_service
+
+    def _component(self, store: DocumentStore) -> QueryService:
+        """A service executing on this one's behalf (a shard, the
+        serial fallback): it annotates this service's per-query flight
+        context, adds ``service.scatter.*`` and posts to this service's
+        fault ledger (the injector it balances against is global); the
+        served query is counted and recorded once, here."""
+        service = QueryService(store=store, **self._service_config)
+        service._boundary.outermost = False
+        service._ledger = self._ledger
+        return service
 
     # -- results -------------------------------------------------------
 
@@ -1141,48 +826,22 @@ class ShardedService:
 
     @property
     def fault_accounting(self) -> dict[str, int]:
-        """Injected-fault dispositions summed across every shard
-        service and the serial fallback — the ledger side of the
-        ``injected == retried + degraded + surfaced`` invariant."""
-        with self._proc_accounting_lock:
-            total = dict(self._proc_accounting)
-        services: list[QueryService] = list(self._shard_services)
-        with self._serial_lock:
-            if self._serial_service is not None:
-                services.append(self._serial_service)
-        for service in services:
-            for disposition, count in service.fault_accounting.items():
-                total[disposition] += count
-        return total
+        """Injected-fault dispositions across the worker processes,
+        every shard service and the serial fallback — the ledger side
+        of the ``injected == retried + degraded + surfaced`` invariant."""
+        return self._ledger.snapshot()
 
     def cache_stats(self) -> CacheStats:
         """The typed, tiered cache statistics for the collection-level
-        plan cache and view tier (mirrors
-        :meth:`QueryService.cache_stats`)."""
-        base = self.cache.stats()
-        view = (
-            self.views.tier_stats() if self.views is not None else TierStats()
-        )
-        return CacheStats(
-            capacity=base["capacity"],
-            size=base["size"],
-            exact=TierStats(
-                hits=base["hits"],
-                misses=base["misses"],
-                evictions=base["evictions"],
-            ),
-            canonical=TierStats(
-                hits=base["canonical_hits"],
-                misses=max(0, base["misses"] - base["canonical_hits"]),
-            ),
-            view=view,
-        )
+        plan cache and view tier."""
+        return self._ladder.stats()
 
     def stats(self) -> dict[str, Any]:
         """A JSON-ready snapshot: collection placement, per-shard
         service and planner-statistics summaries, plan-cache counters."""
         from repro.planner.stats import TableStatistics
 
+        placement = self.collection.stats()
         per_shard = []
         for shard, service in enumerate(self._shard_services):
             table = self.collection.stores[shard].table
@@ -1190,7 +849,7 @@ class ShardedService:
             per_shard.append(
                 {
                     "shard": shard,
-                    "documents": len(self.collection._by_shard[shard]),
+                    "documents": placement["per_shard"][shard]["documents"],
                     "rows": table_stats.row_count,
                     "distinct_names": len(table_stats.name_frequency),
                     "max_level": table_stats.max_level,
@@ -1202,7 +861,7 @@ class ShardedService:
         with self._procpool_lock:
             procpool = self._procpool
         return {
-            "collection": self.collection.stats(),
+            "collection": placement,
             "cache": self.cache_stats().to_dict(),
             "views": self.views.stats() if self.views is not None else None,
             "flight": self.flight.stats() if self.flight else None,
@@ -1214,19 +873,23 @@ class ShardedService:
         }
 
     def close(self) -> None:
-        """Close every shard service and the serial fallback."""
+        """Drain the dispatch threads, then close every shard service,
+        the serial fallback and the worker processes."""
         self._closed = True
+        with self._procpool_lock:
+            procpool, self._procpool = self._procpool, None
+            dispatch, self._dispatch = self._dispatch, {}
+        # threads first, so no connection is closed under a running
+        # statement; a thread blocked on a worker's pipe is not waited
+        # for — closing the process pool below unblocks it
+        for pool in dispatch.values():
+            pool.shutdown(wait=self.executor == "thread", cancel_futures=True)
         for service in self._shard_services:
             service.close()
         with self._serial_lock:
             serial, self._serial_service = self._serial_service, None
         if serial is not None:
             serial.close()
-        with self._procpool_lock:
-            procpool, self._procpool = self._procpool, None
-            dispatch, self._dispatch = self._dispatch, None
-        if dispatch is not None:
-            dispatch.shutdown(wait=False, cancel_futures=True)
         if procpool is not None:
             procpool.close()
 

@@ -1,7 +1,9 @@
 """The query service: compile-once, execute-many, N workers.
 
 :class:`QueryService` is the production-oriented front door over
-:class:`repro.pipeline.XQueryProcessor`.  It composes three pieces:
+:class:`repro.pipeline.XQueryProcessor`: the single-store shell around
+the shared serving core (:mod:`repro.service.core` — cache ladder,
+resilient call, serving boundary).  What it owns itself:
 
 - the :class:`CompiledQueryCache` (``cache.py``) so repeated query
   texts skip the whole front end — parse, normalize, loop-lift,
@@ -13,19 +15,13 @@
   :meth:`submit` / :meth:`run_many` for callers that want the service
   to own the concurrency.
 
-Metrics (``service.*``, catalog in ``docs/observability.md``): query
-counters per engine, a per-query latency histogram
-(``service.query_ns``), cache hit/miss/eviction counters and pool
-connection gauges.  Worker threads record into private registries that
-are merged into the submitting thread's registry when each task
-finishes, so ``metrics_scope`` works transparently across the pool.
-
-Flight recording (``repro.obs.flight``, on by default): every query
-leaves one structured :class:`~repro.obs.flight.FlightRecord` in the
-service's bounded ring — cache outcome, retries, degradations, breaker
-state, per-phase nanoseconds, deadline consumption — and slow,
-degraded or surfaced queries are promoted to a slow-query log with
-trace spans and ``EXPLAIN`` output attached.
+Metrics (``service.*``, catalog in ``docs/observability.md``) and
+flight recording (``repro.obs.flight``, on by default: one structured
+:class:`~repro.obs.flight.FlightRecord` per query, slow, degraded or
+surfaced ones promoted to a slow-query log with trace spans and
+``EXPLAIN`` output) happen at the serving boundary; work submitted to
+the worker pool crosses a :class:`~repro.service.core.MetricsBridge`,
+so ``metrics_scope`` works transparently across the pool.
 
 Invalidation: :meth:`load` bumps the store's content version, drops
 cache entries compiled against older versions and retires the current
@@ -50,110 +46,38 @@ import sqlite3
 import threading
 import time
 from concurrent.futures import Future, ThreadPoolExecutor
+from functools import partial
 from typing import Any, Iterable, Sequence
 
 from repro.algebra.interpreter import run_plan
-from repro.analysis.containment import (
-    TreePattern,
-    canonicalize,
-    extract_pattern,
-    filter_pattern,
-    pattern_key,
-)
-from repro.errors import (
-    BackendUnavailable,
-    CircuitOpenError,
-    DeadlineExceeded,
-    PoolRetiredError,
-    ServiceError,
-)
-from repro.faults.injector import is_injected, suppressed
+from repro.analysis.containment import TreePattern, filter_pattern
+from repro.faults.injector import suppressed
 from repro.infoset.encoding import DocumentStore
-from repro.obs import MetricsRegistry, get_metrics, get_tracer, set_metrics
-from repro.obs.flight import (
-    FlightContext,
-    FlightRecorder,
-    adopt_context,
-    current_context,
-    flight_capture,
-    span_tree,
-)
-from repro.obs.tracer import Span
+from repro.obs import get_metrics, get_tracer
+from repro.obs.flight import FlightContext, FlightRecorder, current_context
 from repro.pipeline import CompiledQuery, Engine, XQueryProcessor
 from repro.result import Result, Serialized
-from repro.service.cache import CacheKey, CacheStats, CompiledQueryCache, TierStats
+from repro.service.cache import CacheStats
+from repro.service.core import (
+    CacheLadder,
+    FaultLedger,
+    MetricsBridge,
+    ServingBoundary,
+    canonical_pattern_of,
+    resilient_call,
+)
 from repro.service.pool import BackendPool
-from repro.service.views import ViewManager
 from repro.service.resilience import (
     AdmissionGate,
     CircuitBreaker,
     Deadline,
     RetryPolicy,
     cancellation,
-    deadline_scope,
     is_connection_death,
-    is_transient,
 )
 from repro.sql.backend import SQLiteBackend
-from repro.xquery.normalize import normalize
-from repro.xquery.parser import parse_xquery
-from repro.xquery.text import normalize_query_text
 
-__all__ = ["QueryService", "canonical_alias_key", "canonical_pattern_of"]
-
-#: reserved prefix marking canonical-pattern alias keys in the cache —
-#: contains NUL, which no parseable query text can
-_CANONICAL_NS = "\x00canonical\x00"
-
-
-def canonical_pattern_of(
-    query: str,
-    default_doc: str | None,
-    collections,
-) -> TreePattern | None:
-    """The canonical tree pattern of a query text, or ``None``.
-
-    Parses and normalizes ``query`` and canonicalizes its extracted
-    pattern.  ``None`` for queries outside the pattern fragment (or
-    that fail to parse: the compile path will surface the real error).
-    One parse serves both the canonical-alias cache key and the view
-    tier's containment lookup.
-    """
-    try:
-        core = normalize(
-            parse_xquery(query),
-            default_doc=default_doc,
-            collections=collections,
-        )
-        pattern = extract_pattern(core)
-    except ServiceError:  # pragma: no cover - not raised by the front end
-        raise
-    except Exception:
-        return None
-    if pattern is None:
-        return None
-    return canonicalize(pattern)
-
-
-def canonical_alias_key(
-    query: str,
-    key: CacheKey,
-    default_doc: str | None,
-    collections,
-) -> CacheKey | None:
-    """The canonical-pattern alias of a cache key, or ``None``.
-
-    Rewrites ``key`` so its ``query`` field carries the canonical
-    pattern's stable serialization (under the reserved namespace
-    prefix) instead of the surface text.  Two queries with the same
-    alias key are semantically equivalent — provably, via the
-    canonicalizer's self-homomorphism certificates — so sharing one
-    compiled plan between them is sound.
-    """
-    pattern = canonical_pattern_of(query, default_doc, collections)
-    if pattern is None:
-        return None
-    return key._replace(query=_CANONICAL_NS + pattern_key(pattern))
+__all__ = ["QueryService", "canonical_pattern_of"]
 
 
 class QueryService:
@@ -251,15 +175,22 @@ class QueryService:
             checked=checked,
         )
         self.workers = workers
-        self.cache = CompiledQueryCache(cache_capacity)
+        self._ladder = CacheLadder(
+            self.processor,
+            self.processor.store,
+            self._view_filter,
+            capacity=cache_capacity,
+            views=views,
+            view_budget_bytes=view_budget_bytes,
+            view_admit_after=view_admit_after,
+        )
+        self.cache = self._ladder.cache
+        self.views = self._ladder.views
         self._indexes = indexes
         self._cached_statements = cached_statements
         self._pool: BackendPool | None = None
         self._pool_version = -1
         self._pool_lock = threading.Lock()
-        # the front end shares mutable rewrite-engine state (the
-        # fresh-name counter), so cold compiles are single-flight
-        self._compile_lock = threading.Lock()
         self._executor: ThreadPoolExecutor | None = None
         self._executor_lock = threading.Lock()
         self._merge_lock = threading.Lock()
@@ -269,24 +200,18 @@ class QueryService:
         self.degrade_enabled = degrade
         self._admission = AdmissionGate(queue_cap)
         self._breaker = CircuitBreaker(breaker_threshold, breaker_reset_s)
-        # injected-fault disposition tally for the chaos accounting
-        # gate: injected == retried + degraded + surfaced
-        self._accounting_lock = threading.Lock()
-        self._fault_accounting = {"retry": 0, "degrade": 0, "surface": 0}
-        if flight_recorder is not None:
-            self.flight: FlightRecorder | None = flight_recorder
-        elif flight:
-            self.flight = FlightRecorder(slow_threshold_s=slow_threshold_s)
-        else:
-            self.flight = None
-        if views and not serialize_step:
-            self.views: ViewManager | None = ViewManager(
-                self._view_filter,
-                budget_bytes=view_budget_bytes,
-                admit_after=view_admit_after,
-            )
-        else:
-            self.views = None
+        self._ledger = FaultLedger()
+        self._boundary = ServingBoundary(
+            self._ladder,
+            flight=flight,
+            flight_recorder=flight_recorder,
+            slow_threshold_s=slow_threshold_s,
+            shards=1,
+            serializer=self.serialize,
+            explain=self._flight_explain,
+            breaker_state=lambda: self._breaker.state,
+        )
+        self.flight = self._boundary.recorder
 
     # -- documents -----------------------------------------------------
 
@@ -294,14 +219,20 @@ class QueryService:
     def store(self) -> DocumentStore:
         return self.processor.store
 
+    #: shard partitions served
+    shards = 1
+
+    @property
+    def documents(self) -> list[str]:
+        """URIs of all loaded documents, in load order."""
+        return list(self.store.table.doc_uris)
+
     def load(self, xml_text: str, uri: str) -> None:
         """Load a document and invalidate: stale cache entries are
         dropped and the backend pool is retired (in-flight queries
         drain against the old snapshot)."""
         self.processor.load(xml_text, uri)
-        self.cache.invalidate(store_version=self.store.version)
-        if self.views is not None:
-            self.views.invalidate(store_version=self.store.version)
+        self._ladder.invalidate()
         if self.flight is not None:
             # percentiles must describe the corpus now being served,
             # not the pre-load one (see FlightRecorder.mark_epoch)
@@ -314,15 +245,6 @@ class QueryService:
 
     # -- compilation ---------------------------------------------------
 
-    def _cache_key(self, query: str) -> CacheKey:
-        return CacheKey(
-            query=query,
-            default_doc=self.processor.default_doc,
-            serialize_step=self.processor.serialize_step,
-            disabled_rules=self.processor.disabled_rules,
-            store_version=self.store.version,
-        )
-
     def _view_filter(
         self, pattern: TreePattern, rows: Sequence[int]
     ) -> list[int]:
@@ -331,88 +253,11 @@ class QueryService:
         return filter_pattern(pattern, self.store.table, rows)
 
     def compile(self, query: str) -> CompiledQuery:
-        """The compiled artifact for ``query`` — from cache when
-        possible, compiled (and cached) otherwise.
-
-        Three key tiers, cheapest first: (1) exact match on the
-        lexically normalized text (comments stripped, whitespace
-        collapsed — no parsing); (2) the canonical tree-pattern key,
-        which lets *semantically equivalent* spellings (reordered
-        predicates, explicit axes, redundant self steps) share one
-        compiled plan — a canonical hit also back-fills the exact key
-        so that spelling hits tier 1 from then on; (3) a cold compile,
-        cached under both keys.  (The execution path adds a fourth,
-        *view* tier between (2) and (3) — see :meth:`_resolve` — but
-        ``compile`` always returns a compiled artifact.)
-        """
-        compiled, _ = self._resolve(query, allow_view=False)
-        assert compiled is not None  # allow_view=False never view-answers
-        return compiled
-
-    def _resolve(
-        self, query: str, allow_view: bool = True
-    ) -> tuple[CompiledQuery | None, list[int] | None]:
-        """Resolve a query text through the cache-tier ladder: lexical
-        normalization → exact key → canonical-pattern key → **view**
-        (strict-containment rewrite over materialized rows,
-        :mod:`repro.service.views`) → cold compile.
-
-        Returns ``(compiled, None)`` when the query must execute, or
-        ``(None, rows)`` when a view answered it outright.
-        """
-        text = normalize_query_text(query)
-        key = self._cache_key(text)
-        flight = current_context()
-        compiled = self.cache.get(key)
-        if compiled is not None:
-            if flight is not None:
-                flight.note_cache("exact")
-            return compiled, None
-        with self._compile_lock:
-            # single-flight: a racing thread may have compiled the same
-            # key while this one waited for the lock
-            compiled = self.cache.peek(key)
-            if compiled is not None:
-                if flight is not None:
-                    flight.note_cache("single-flight-wait")
-                return compiled, None
-            pattern = canonical_pattern_of(
-                text,
-                self.processor.default_doc,
-                self.processor.collections,
-            )
-            canonical = (
-                key._replace(query=_CANONICAL_NS + pattern_key(pattern))
-                if pattern is not None
-                else None
-            )
-            if canonical is not None:
-                compiled = self.cache.get_canonical(canonical)
-                if compiled is not None:
-                    self.cache.put(key, compiled)
-                    if flight is not None:
-                        flight.note_cache("canonical")
-                    return compiled, None
-            if allow_view and self.views is not None and pattern is not None:
-                rows = self.views.answer(pattern, self.store.version)
-                if rows is not None:
-                    if flight is not None:
-                        flight.note_cache("view")
-                    return None, rows
-            rewrite_start = time.perf_counter_ns()
-            compiled = self.processor.compile(text)
-            # materialize the lazy SQL artifacts now: cached entries
-            # must be immutable so any thread can execute them
-            _ = (compiled.stacked_sql, compiled.joingraph_sql)
-            if flight is not None:
-                flight.note_cache("miss")
-                flight.add_phase(
-                    "rewrite", time.perf_counter_ns() - rewrite_start
-                )
-            self.cache.put(key, compiled)
-            if canonical is not None:
-                self.cache.put(canonical, compiled)
-        return compiled, None
+        """The compiled artifact for ``query`` — from the plan cache
+        when possible, compiled (and cached) otherwise (see
+        :class:`~repro.service.core.CacheLadder`; the view tier only
+        answers on the execution path)."""
+        return self._ladder.compile(query)
 
     # -- execution -----------------------------------------------------
 
@@ -467,161 +312,38 @@ class QueryService:
         engine: Engine | str,
         deadline_s: float | None = None,
     ) -> Result:
-        engine = Engine.of(engine)
-        start = time.perf_counter_ns()
         budget = self.deadline_s if deadline_s is None else deadline_s
-        # `is not None`, not truthiness: a caller passing 0 gets the
-        # ValueError from Deadline.after, not a silently unbounded query
-        deadline = Deadline.after(budget) if budget is not None else None
-        metrics = get_metrics()
-        recorder = self.flight
-        # a recording service owns a fresh flight context (the serving
-        # boundary); a non-recording one (a shard inside ShardedService)
-        # annotates the caller's context instead
-        with flight_capture(own=recorder is not None) as flight:
-            compiled: CompiledQuery | None = None
-            view_rows: list[int] | None = None
-            qspan = get_tracer().span("service.query", engine=engine.value)
-            try:
-                with qspan, deadline_scope(deadline):
-                    if isinstance(query, CompiledQuery):
-                        compiled = query
-                        if flight is not None:
-                            flight.note_cache("precompiled")
-                    else:
-                        compile_start = time.perf_counter_ns()
-                        compiled, view_rows = self._resolve(query)
-                        if flight is not None:
-                            flight.add_phase(
-                                "compile",
-                                time.perf_counter_ns() - compile_start,
-                            )
-                    if deadline is not None:
-                        deadline.check()
-                    if view_rows is not None:
-                        # answered from a materialized view: the
-                        # residual filter already ran inside _resolve,
-                        # so there is no engine execution to time
-                        items = view_rows
-                        if flight is not None:
-                            flight.note_rows(len(items))
-                    else:
-                        assert compiled is not None
-                        sql_start = time.perf_counter_ns()
-                        if engine is Engine.INTERPRETER:
-                            items = run_plan(compiled.stacked_plan)
-                        elif engine is Engine.ISOLATED_INTERPRETER:
-                            items = run_plan(compiled.isolated_plan)
-                        else:
-                            items = self._run_pooled(
-                                compiled, engine, deadline
-                            )
-                        if flight is not None:
-                            flight.add_phase(
-                                "sql", time.perf_counter_ns() - sql_start
-                            )
-                            flight.note_rows(len(items))
-                    if deadline is not None:
-                        # interpreters cannot be cancelled mid-run; a
-                        # late result is still refused so the deadline
-                        # contract holds across engines
-                        deadline.check()
-            except ServiceError as error:
-                metrics.count("service.queries.failed")
-                metrics.count(f"service.errors.{type(error).__name__}")
-                if recorder is not None and flight is not None:
-                    self._flight_record(
-                        recorder, flight, query, compiled, engine,
-                        start, budget, deadline, qspan, error=error,
-                    )
-                raise
-            metrics.count("service.queries")
-            metrics.count(f"service.queries.{engine.value}")
-            if (
-                self.views is not None
-                and compiled is not None
-                and isinstance(query, str)
-            ):
-                # admission bookkeeping: normally-executed fragment
-                # queries heat their pattern; hot ones materialize
-                self.views.observe(
-                    compiled.source, compiled.core, self.store.version, items
-                )
-            elapsed = time.perf_counter_ns() - start
-            metrics.observe("service.query_ns", elapsed)
-            if recorder is not None and flight is not None:
-                self._flight_record(
-                    recorder, flight, query, compiled, engine,
-                    start, budget, deadline, qspan,
-                )
-            return Result(
-                items,
-                engine=engine,
-                timings={"execute_ns": elapsed},
-                shards=1,
-                serializer=self.serialize,
-            )
+        return self._boundary.serve(query, engine, budget, self._run)
 
-    def _flight_record(
+    def _run(
         self,
-        recorder: FlightRecorder,
-        flight: FlightContext,
-        query: str | CompiledQuery,
-        compiled: CompiledQuery | None,
+        compiled: CompiledQuery,
         engine: Engine,
-        start_ns: int,
-        budget: float | None,
         deadline: Deadline | None,
-        qspan: Any,
-        error: BaseException | None = None,
-    ) -> None:
-        """Append this query's flight record at the serving boundary."""
-        elapsed = time.perf_counter_ns() - start_ns
-        if compiled is not None:
-            text = compiled.source
+        flight: FlightContext | None,
+    ) -> tuple[list[Any], int, dict[str, int]]:
+        """Execute a compiled plan on ``engine`` (the boundary's
+        ``run``): the interpreters in-process, SQL on the pool."""
+        sql_start = time.perf_counter_ns()
+        if engine is Engine.INTERPRETER:
+            items = run_plan(compiled.stacked_plan)
+        elif engine is Engine.ISOLATED_INTERPRETER:
+            items = run_plan(compiled.isolated_plan)
         else:
-            text = query if isinstance(query, str) else query.source
-        consumed: float | None = None
-        if deadline is not None and budget:
-            consumed = min(1.0, deadline.elapsed() / budget)
-        trace = [span_tree(qspan)] if isinstance(qspan, Span) else []
-
-        def detail() -> dict[str, Any]:
-            diagnostics: dict[str, Any] = {"trace": trace}
-            if compiled is not None:
-                diagnostics["explain"] = self._flight_explain(
-                    compiled, engine
-                )
-            return diagnostics
-
-        recorder.record(
-            query_text=text,
-            engine=engine.value,
-            status="ok" if error is None else f"error:{type(error).__name__}",
-            context=flight,
-            elapsed_ns=elapsed,
-            shards=1,
-            breaker=self._breaker.state,
-            deadline_budget_s=budget,
-            deadline_consumed=consumed,
-            detail=detail,
-        )
+            items = self._run_pooled(compiled, engine, deadline)
+        if flight is not None:
+            flight.add_phase("sql", time.perf_counter_ns() - sql_start)
+        return items, 1, {}
 
     def _flight_explain(
         self, compiled: CompiledQuery, engine: Engine
     ) -> list[str]:
-        """EXPLAIN QUERY PLAN rows for a promoted slow capture (the
-        joingraph SQL stands in for the interpreter engines).  Fault
+        """EXPLAIN QUERY PLAN rows for a promoted slow capture.  Fault
         injection is suppressed: diagnostics are not chaos targets."""
-        sql = (
-            compiled.stacked_sql
-            if engine == "stacked-sql"
-            else compiled.joingraph_sql
-        )
         with suppressed():
             pool = self._lease_pool()
             try:
-                return pool.backend().explain(sql)
+                return pool.backend().explain(compiled.sql_for(engine))
             finally:
                 pool.release()
 
@@ -631,96 +353,38 @@ class QueryService:
         engine: Engine,
         deadline: Deadline | None,
     ) -> list[Any]:
-        """The pooled SQL path under the full resilience stack: breaker
-        -> lease -> cancellable execution, retrying transient failures
-        with backoff and degrading to :meth:`_degraded` as last resort."""
-        sql = (
-            compiled.stacked_sql
-            if engine == "stacked-sql"
-            else compiled.joingraph_sql
+        """The pooled SQL path under the resilience stack: breaker ->
+        lease -> cancellable execution, :meth:`_degraded` as the last
+        resort."""
+        sql = compiled.sql_for(engine)
+
+        def attempt() -> list[Any]:
+            pool = self._lease_pool()
+            try:
+                backend = pool.backend()
+                with cancellation(backend.connection, deadline):
+                    return backend.run(sql)
+            except sqlite3.Error as error:
+                if is_connection_death(error):
+                    # this thread's connection is gone; a retry only
+                    # helps on a fresh one
+                    pool.discard_backend()
+                raise
+            finally:
+                pool.release()
+
+        return resilient_call(
+            attempt,
+            retry=self.retry,
+            deadline=deadline,
+            ledger=self._ledger,
+            breaker=self._breaker,
+            last_resort=(
+                partial(self._degraded, compiled, engine, deadline)
+                if self.degrade_enabled
+                else None
+            ),
         )
-        metrics = get_metrics()
-        tracer = get_tracer()
-        attempt = 0
-        try:
-            while True:
-                if not self._breaker.allow():
-                    if self.degrade_enabled:
-                        metrics.count("service.degrade.breaker_fastpath")
-                        return self._degraded(compiled, engine, deadline)
-                    raise CircuitOpenError(
-                        "backend circuit breaker is open and degradation "
-                        "is disabled"
-                    )
-                pool: BackendPool | None = None
-                try:
-                    pool = self._lease_pool()
-                    try:
-                        backend = pool.backend()
-                        with cancellation(backend.connection, deadline):
-                            items = backend.run(sql)
-                    finally:
-                        pool.release()
-                    self._breaker.record_success()
-                    return items
-                except DeadlineExceeded as error:
-                    # the budget is gone: neither a retry nor the
-                    # degraded path could answer in time, so the miss
-                    # surfaces
-                    metrics.count("service.deadline.exceeded")
-                    self._account(error, "surface")
-                    raise
-                except (sqlite3.Error, PoolRetiredError) as error:
-                    if not is_transient(error):
-                        raise
-                    self._breaker.record_failure()
-                    if is_connection_death(error) and pool is not None:
-                        # this thread's connection is gone; a retry only
-                        # helps on a fresh one
-                        pool.discard_backend()
-                    if self.retry.allows(attempt, deadline):
-                        self._account(error, "retry")
-                        metrics.count("service.retry.attempts")
-                        flight = current_context()
-                        if flight is not None:
-                            flight.note_retry()
-                        with tracer.span(
-                            "service.retry", attempt=attempt, error=str(error)
-                        ):
-                            metrics.observe(
-                                "service.retry.backoff_s",
-                                self.retry.pause(attempt, deadline),
-                            )
-                        attempt += 1
-                        continue
-                    metrics.count("service.retry.exhausted")
-                    if self.degrade_enabled:
-                        try:
-                            items = self._degraded(compiled, engine, deadline)
-                        except DeadlineExceeded:
-                            metrics.count("service.deadline.exceeded")
-                            self._account(error, "surface")
-                            raise
-                        except Exception as fallback_error:
-                            self._account(error, "surface")
-                            raise BackendUnavailable(
-                                "backend kept failing and the degraded "
-                                "path failed too"
-                            ) from fallback_error
-                        metrics.count("service.degrade.fallbacks")
-                        self._account(error, "degrade")
-                        return items
-                    self._account(error, "surface")
-                    raise BackendUnavailable(
-                        f"backend failure persisted through "
-                        f"{self.retry.max_retries} retries: {error}"
-                    ) from error
-        finally:
-            # a half-open probe admitted by allow() that exited without
-            # reporting a verdict (deadline miss, non-transient error)
-            # must free the probe slot or the breaker wedges; no-op for
-            # every other path
-            self._breaker.release_probe()
 
     def _degraded(
         self,
@@ -742,35 +406,20 @@ class QueryService:
             flight = current_context()
             if flight is not None:
                 flight.note_degraded()
-            with self._compile_lock:
+            with self._ladder.lock:
                 fresh = self.processor.compile(compiled.source)
-            sql = (
-                fresh.stacked_sql
-                if engine == "stacked-sql"
-                else fresh.joingraph_sql
-            )
             backend = SQLiteBackend(self.store.table, self._indexes)
             try:
                 with cancellation(backend.connection, deadline):
-                    return backend.run(sql)
+                    return backend.run(fresh.sql_for(engine))
             finally:
                 backend.close()
-
-    def _account(self, error: BaseException, disposition: str) -> None:
-        """Tally how an *injected* fault was handled (organic failures
-        are recovered identically but stay out of the chaos ledger)."""
-        if not is_injected(error):
-            return
-        with self._accounting_lock:
-            self._fault_accounting[disposition] += 1
-        get_metrics().count(f"service.faults.handled.{disposition}")
 
     @property
     def fault_accounting(self) -> dict[str, int]:
         """Injected-fault dispositions so far (``retry`` / ``degrade``
         / ``surface``) — the service side of the chaos accounting gate."""
-        with self._accounting_lock:
-            return dict(self._fault_accounting)
+        return self._ledger.snapshot()
 
     def serialize(self, items: Sequence[Any]) -> str:
         """Serialize a node-sequence result back to XML text."""
@@ -798,33 +447,6 @@ class QueryService:
                 )
             return self._executor
 
-    def _task(
-        self,
-        registry: MetricsRegistry,
-        context: FlightContext | None,
-        query: str | CompiledQuery,
-        engine: Engine | str,
-        deadline_s: float | None,
-    ) -> Result:
-        # record into a private registry, then merge into the
-        # submitting thread's registry under a lock: counters stay
-        # exact even under contention, and metrics_scope on the caller
-        # side sees everything its submissions caused; the submitting
-        # query's flight context (if any) is adopted so shard-level
-        # retries/degradations land on the top-level record
-        local = MetricsRegistry()
-        previous = set_metrics(local)
-        try:
-            with adopt_context(context):
-                return self._execute_admitted(query, engine, deadline_s)
-        finally:
-            # the admission slot is NOT released here: submit() frees
-            # it from the future's done-callback, which also covers
-            # futures cancelled before this ever runs
-            set_metrics(previous)
-            with self._merge_lock:
-                registry.merge(local)
-
     def submit(
         self,
         query: str | CompiledQuery,
@@ -844,10 +466,12 @@ class QueryService:
         executor = self._ensure_executor()
         self._admission.enter()
         try:
+            # the admission slot is NOT released by the task: the
+            # done-callback below frees it, which also covers futures
+            # cancelled before they ever run
             future = executor.submit(
-                self._task,
-                get_metrics(),
-                current_context(),
+                MetricsBridge(self._merge_lock).run,
+                self._execute_admitted,
                 query,
                 engine,
                 deadline_s,
@@ -855,9 +479,6 @@ class QueryService:
         except BaseException:
             self._admission.exit()
             raise
-        # release from the done-callback, not inside _task: a future
-        # cancelled before it ever runs (or dropped by the executor)
-        # still fires its callbacks, so the slot cannot leak
         future.add_done_callback(lambda _finished: self._admission.exit())
         return future
 
@@ -898,24 +519,7 @@ class QueryService:
         """The typed, tiered cache statistics (exact / canonical /
         view) — the stable API; ``stats()["cache"]`` serves its
         :meth:`~repro.service.cache.CacheStats.to_dict` form."""
-        base = self.cache.stats()
-        view = (
-            self.views.tier_stats() if self.views is not None else TierStats()
-        )
-        return CacheStats(
-            capacity=base["capacity"],
-            size=base["size"],
-            exact=TierStats(
-                hits=base["hits"],
-                misses=base["misses"],
-                evictions=base["evictions"],
-            ),
-            canonical=TierStats(
-                hits=base["canonical_hits"],
-                misses=max(0, base["misses"] - base["canonical_hits"]),
-            ),
-            view=view,
-        )
+        return self._ladder.stats()
 
     def stats(self) -> dict[str, Any]:
         """A JSON-ready snapshot of the service's moving parts."""

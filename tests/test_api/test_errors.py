@@ -1,13 +1,9 @@
 """The consolidated error hierarchy: every public exception inherits
 :class:`ReproError` and carries a stable machine-readable ``code``
-(``repro.<subsystem>[.<condition>]``), and the old import path for
-:class:`WorkerCrash` keeps working for one release behind a
-:class:`DeprecationWarning` shim.
+(``repro.<subsystem>[.<condition>]``).
 """
 
 from __future__ import annotations
-
-import warnings
 
 import pytest
 
@@ -74,22 +70,6 @@ def test_sanitizer_error_refines_the_class_code_per_instance():
 def test_public_surface_reexports_the_hierarchy():
     for cls in PUBLIC_ERRORS + [errors.ReproError]:
         assert getattr(repro, cls.__name__) is cls
-
-
-def test_worker_crash_old_import_path_warns():
-    from repro.service import procpool
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", DeprecationWarning)
-        with pytest.raises(DeprecationWarning):
-            procpool.WorkerCrash
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        shimmed = procpool.WorkerCrash
-    assert shimmed is errors.WorkerCrash
-    assert any(
-        issubclass(w.category, DeprecationWarning) for w in caught
-    )
 
 
 def test_caught_as_repro_error():

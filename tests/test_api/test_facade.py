@@ -1,7 +1,7 @@
 """The stable public facade: ``repro.connect()`` / :class:`Session`,
 the typed :class:`Result` / :class:`Serialized` return shapes, the
-:class:`Engine` enum, the deprecation shims, and the promise that the
-README quickstart runs exactly as written."""
+:class:`Engine` enum, and the promise that the README quickstart runs
+exactly as written."""
 
 from __future__ import annotations
 
@@ -13,7 +13,6 @@ import pytest
 
 import repro
 from repro import Engine, Result, Serialized, Session
-from repro.result import legacy_items
 
 AUCTION = (
     '<site><open_auction id="1"><initial>15</initial>'
@@ -126,14 +125,6 @@ def test_run_many_preserves_submission_order(session):
 def test_bare_result_has_no_serializer():
     with pytest.raises(TypeError):
         Result([1, 2]).serialize()
-
-
-def test_legacy_items_shim_warns(session):
-    result = session.execute(QUERY)
-    with pytest.warns(DeprecationWarning):
-        items = legacy_items(result)
-    assert items == list(result)
-    assert type(items) is list
 
 
 # -- the Engine enum -------------------------------------------------------

@@ -8,6 +8,7 @@ import time
 
 import pytest
 
+import repro
 from repro.errors import DeadlineExceeded
 from repro.faults import FaultInjector, injection
 from repro.obs import metrics_scope
@@ -156,3 +157,36 @@ def test_deadline_exceeded_through_the_worker_pool(service):
             future.result(timeout=30)
     assert service._admission.inflight == 0
     assert service._pool is not None and service._pool.leases == 0
+
+
+@pytest.mark.parametrize("shards", [1, 2])
+def test_late_view_answer_is_refused(shards, monkeypatch):
+    """The view rung cannot be cancelled mid-filter, so its answer is
+    re-checked against the deadline — on either deployment shape."""
+    broad, narrow = "//bidder", "//bidder[time]"
+    with repro.connect(shards=shards, view_admit_after=1) as session:
+        session.load(AUCTION_XML, "auction.xml")
+        session.execute(broad)  # admits the view
+        views = session.service.views
+        answer = views.answer
+
+        def slow_answer(pattern, version):
+            time.sleep(DEADLINE_S)
+            return answer(pattern, version)
+
+        monkeypatch.setattr(views, "answer", slow_answer)
+        with metrics_scope() as metrics:
+            with pytest.raises(DeadlineExceeded):
+                session.execute(narrow, deadline_s=DEADLINE_S / 2)
+        record = session.service.flight.records()[-1]
+        assert record.cache == "view"
+        assert record.status == "error:DeadlineExceeded"
+        counters = metrics.snapshot()["counters"]
+        assert counters["service.queries.failed"] == 1
+        assert "service.queries" not in counters
+        # organic: nothing was injected, so the ledger stays empty
+        assert sum(session.service.fault_accounting.values()) == 0
+        # with room in the budget the same view answers
+        served = session.execute(narrow, deadline_s=5.0)
+        assert session.service.flight.records()[-1].cache == "view"
+        assert session.serialize(served) == session.run(broad)

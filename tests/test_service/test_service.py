@@ -8,7 +8,8 @@ import pytest
 from repro.infoset import DocumentStore
 from repro.obs import metrics_scope
 from repro.pipeline import XQueryProcessor
-from repro.service import QueryService
+from repro.service import QueryService, ShardedService
+from repro.store import Collection
 
 AUCTION_XML = """\
 <open_auction id="1">
@@ -81,7 +82,7 @@ def test_disabled_rules_get_distinct_cache_entries():
         # differing disabled_rules -> differing cache keys -> distinct
         # artifacts; neither service ever serves the other's plan
         assert full is not partial
-        assert plain._cache_key(query) != ablated._cache_key(query)
+        assert plain._ladder.key(query) != ablated._ladder.key(query)
         assert plain.compile(query) is full
         assert ablated.compile(query) is partial
 
@@ -122,6 +123,27 @@ def test_service_metrics_flow_from_workers():
     assert counters["service.cache.hits"] == 10 - counters["service.cache.misses"]
     histogram = metrics.snapshot()["histograms"]["service.query_ns"]
     assert histogram["count"] == 10
+
+    # the sharded shape counts per *served* query too — not per shard
+    # execution, and a view answer (which executes on no shard) counts
+    broad, narrow = 'collection("*")//bidder', 'collection("*")//bidder[time]'
+    for parallel in (False, True):
+        with metrics_scope() as metrics:
+            with ShardedService(
+                Collection(4), parallel_fanout=parallel, view_admit_after=1
+            ) as svc:
+                for shard in range(4):
+                    svc.load(AUCTION_XML, f"a{shard}.xml", shard=shard)
+                assert svc.execute(broad).shards == 4  # admits the view
+                assert len(svc.execute(narrow)) == 4
+                assert svc.flight.records()[-1].cache == "view"
+            snapshot = metrics.snapshot()
+        counters = snapshot["counters"]
+        assert counters["service.queries"] == 2
+        assert counters["service.queries.joingraph-sql"] == 2
+        assert "service.queries.failed" not in counters
+        assert snapshot["histograms"]["service.query_ns"]["count"] == 2
+        assert counters["service.scatter.queries"] == 1
 
 
 def test_closed_service_refuses_work(service):

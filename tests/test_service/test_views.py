@@ -3,7 +3,8 @@ strictly-contained lookup through the PR 6 decision procedure,
 residual re-filtering via the membership oracle, LRU eviction inside
 the byte budget, and the never-stale invalidation contract — on the
 :class:`ViewManager` in isolation and wired into both
-:class:`QueryService` and :class:`ShardedService`.
+:class:`QueryService` and :class:`ShardedService` (what a ``load`` does
+to the tier, on both, is in ``test_ladder.py``).
 """
 
 from __future__ import annotations
@@ -219,23 +220,6 @@ def test_view_answer_counts_in_cache_stats():
         assert stats.to_dict()["tiers"]["view"]["hits"] == 1
 
 
-def test_load_drops_views():
-    """A ``DocTable.version`` bump invalidates every view before the
-    next query — the never-stale contract."""
-    with make_service() as service:
-        service.execute(BROAD)
-        service.execute(BROAD)
-        assert len(service.views) == 1
-        service.load("<site><a><b>1</b><c>1</c></a></site>", "more.xml")
-        assert len(service.views) == 0
-        # and the post-load narrow answer reflects the new content
-        assert list(service.execute(NARROW)) == list(
-            XQueryProcessor(
-                store=service.store, default_doc="site.xml"
-            ).execute(NARROW, engine="joingraph-sql")
-        )
-
-
 def test_views_off_means_no_view_tier():
     with QueryService(workers=1, views=False) as service:
         service.load(XML, "site.xml")
@@ -287,24 +271,6 @@ def test_sharded_view_answers_in_global_ranks():
         ).execute(narrow, engine="joingraph-sql")
         assert list(served) == list(expected)
         assert service.serialize(served) == service.serialize(expected)
-
-
-def test_graft_drops_sharded_views():
-    broad = 'collection("*")//a[b]'
-    with make_sharded() as service:
-        service.execute(broad)
-        service.execute(broad)
-        assert len(service.views) == 1
-        service.load("<r><a><b>9</b><c>9</c></a></r>", "u3.xml")
-        assert len(service.views) == 0
-        assert service.views.invalidated == 1
-        # post-graft answers see the new document
-        rows = service.execute('collection("*")//a[b][c]')
-        combined = service.collection.combined_store()
-        expected = XQueryProcessor(
-            store=combined, default_doc=DOCS[0][1]
-        ).execute('collection("*")//a[b][c]', engine="joingraph-sql")
-        assert list(rows) == list(expected)
 
 
 def test_sharded_residual_filter_routes_global_ranks():
