@@ -243,11 +243,10 @@ class BenchHarness:
 
 
 def table9_json(runs: list[EngineRun], shards: int = 1, **metadata) -> dict:
-    """The Table 9 grid as a JSON-ready document (what ``BENCH_*.json``
-    files store): every run with its phase profile, plus free-form
-    metadata (node counts, scale factors, host notes).  ``shards``
-    records the store layout the runs executed against (v3; 1 = a
-    single combined backend, see ``docs/schemas.md``)."""
+    """The Table 9 grid as a JSON-ready document: every run with its
+    phase profile, plus free-form metadata (node counts, scale factors,
+    host notes).  ``shards`` records the store layout the runs executed
+    against (v3; 1 = a single combined backend, see ``docs/schemas.md``)."""
     return {
         "schema": "repro.bench.table9/v3",
         "shards": shards,

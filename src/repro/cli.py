@@ -50,14 +50,7 @@ table, and analysis health::
         --trace trace.json --metrics metrics.json
     python -m repro obs '//person[name]' --doc auction.xml --checked
 
-Benchmark the query service layer (compiled-plan cache + concurrent
-shared-cache SQLite pool, see ``docs/performance.md``)::
-
-    python -m repro serve-bench --quick
-    python -m repro serve-bench --factor 0.01 --workers 1,2,4,8 \\
-        --out BENCH_service.json
-
-Chaos mode (see ``docs/robustness.md``): inject backend faults at a
+Chaos campaign (see ``docs/robustness.md``): inject backend faults at a
 configured error rate while 8 threads hammer the service, and verify
 the robustness contract — every call returns a correct answer or a
 clean typed error, and every injected fault is accounted for as
@@ -65,6 +58,16 @@ retried, degraded, or surfaced::
 
     python -m repro serve-bench --faults --fault-rate 0.15 --fault-seed 7 \\
         --out CHAOS_report.json
+
+Soak (see ``docs/serving.md``): open-loop multi-tenant arrivals through
+the front door, gated on fairness, the per-tenant fault ledger and
+byte-identity::
+
+    python -m repro serve-bench --soak --quick
+
+Throughput, latency and overhead numbers come from
+``python3 benchmarks/e2e/run.py`` (``docs/performance.md``), not from
+this program.
 """
 
 from __future__ import annotations
@@ -646,54 +649,39 @@ def _slow_log_report(recorder) -> str:
 
 
 def build_serve_bench_parser() -> argparse.ArgumentParser:
-    from repro.service.bench import DEFAULT_QUERY_SET
-
     parser = argparse.ArgumentParser(
         prog="repro serve-bench",
-        description="Benchmark the query service layer: repeated-query "
-        "throughput of the compiled-plan cache vs the uncached single-"
-        "connection baseline, plus a worker-scaling curve over the "
-        "shared-cache SQLite pool.  Writes BENCH_service.json (see "
-        "docs/performance.md).",
+        description="Correctness campaigns against the query service "
+        "layer: the randomized fault-injection campaign (--faults) and "
+        "the open-loop multi-tenant soak (--soak).  Exit status 1 when "
+        "a contract or gate is violated.  The throughput benchmark is "
+        "benchmarks/e2e/run.py (see docs/performance.md).",
     )
     parser.add_argument("--factor", type=float, default=0.01,
                         help="XMark scale factor (default: 0.01)")
-    parser.add_argument("--repeat", type=int, default=40,
-                        help="repetitions of the query mix per mode")
-    parser.add_argument(
-        "--workers",
-        default="1,2,4,8",
-        help="comma-separated thread-pool widths (default: 1,2,4,8)",
-    )
-    parser.add_argument(
-        "--queries",
-        default=",".join(DEFAULT_QUERY_SET),
-        help="comma-separated XMark catalog query names",
-    )
     parser.add_argument(
         "--quick", action="store_true",
-        help="smoke-test size: tiny document, few repeats",
+        help="smoke-test size for --soak: tiny corpus, short load points",
     )
     parser.add_argument(
         "--executor",
         choices=("thread", "process"),
         default="thread",
-        help="shard/worker execution mode: 'thread' (default) stays "
+        help="shard execution mode: 'thread' (default) stays "
         "in-process, 'process' runs worker processes over the "
-        "zero-copy shard attach (applies to the scaling curve, "
-        "--collection, and sharded --faults)",
+        "zero-copy shard attach (applies to sharded --faults and "
+        "--soak)",
     )
     parser.add_argument(
         "--out",
         metavar="FILE",
-        help="also write the JSON benchmark document to FILE",
+        help="also write the JSON report to FILE",
     )
     chaos = parser.add_argument_group(
         "chaos mode (see docs/robustness.md)",
-        "run the randomized differential fault-injection campaign "
-        "instead of the throughput benchmark; exit status 1 when the "
-        "robustness contract (correct-or-typed-error, balanced fault "
-        "accounting) is violated",
+        "run the randomized differential fault-injection campaign; "
+        "exit status 1 when the robustness contract (correct-or-typed-"
+        "error, balanced fault accounting) is violated",
     )
     chaos.add_argument(
         "--faults", action="store_true",
@@ -727,23 +715,7 @@ def build_serve_bench_parser() -> argparse.ArgumentParser:
     )
     chaos.add_argument(
         "--documents", type=int, default=4,
-        help="corpus size for sharded chaos / collection mode "
-        "(default: 4; collection mode default: 8)",
-    )
-    coll = parser.add_argument_group(
-        "collection mode (see docs/performance.md)",
-        "run the shard-scaling collection benchmark instead of the "
-        "service throughput benchmark; writes the "
-        "repro.bench.collection/v3 document",
-    )
-    coll.add_argument(
-        "--collection", action="store_true",
-        help="benchmark scatter-gather over a sharded collection",
-    )
-    coll.add_argument(
-        "--shard-curve", default="1,2,4",
-        help="comma-separated shard counts for --collection "
-        "(default: 1,2,4)",
+        help="corpus size for sharded chaos and the soak (default: 4)",
     )
     soak = parser.add_argument_group(
         "soak mode (see docs/serving.md)",
@@ -785,10 +757,11 @@ def serve_bench_main(argv: list[str]) -> int:
     args = parser.parse_args(argv)
     sys.setrecursionlimit(100_000)
 
-    if args.faults and args.collection:
-        parser.error("--faults and --collection are mutually exclusive")
-    if args.soak and args.collection:
-        parser.error("--soak and --collection are mutually exclusive")
+    if not (args.faults or args.soak):
+        parser.error(
+            "choose a campaign: --faults or --soak (the throughput "
+            "benchmark is benchmarks/e2e/run.py)"
+        )
 
     if args.soak:
         from repro.workloads.soak import (
@@ -836,69 +809,29 @@ def serve_bench_main(argv: list[str]) -> int:
             print(f"-- wrote {args.out}")
         return 0 if report["gates"]["passed"] else 1
 
-    if args.faults:
-        from repro.faults.campaign import (
-            ChaosConfig,
-            format_chaos_report,
-            run_chaos_campaign,
-        )
+    from repro.faults.campaign import (
+        ChaosConfig,
+        format_chaos_report,
+        run_chaos_campaign,
+    )
 
-        config = ChaosConfig(
-            seed=args.fault_seed,
-            threads=args.threads,
-            queries_per_thread=args.queries_per_thread,
-            rate=args.fault_rate,
-            factor=args.factor,
-            deadline_s=args.deadline,
-            shards=args.shards,
-            documents=args.documents,
-            executor=args.executor,
-        )
-        report = run_chaos_campaign(config)
-        print(format_chaos_report(report))
-        if args.out:
-            Path(args.out).write_text(json.dumps(report, indent=1) + "\n")
-            print(f"-- wrote {args.out}")
-        return 0 if report["contract"]["holds"] else 1
-
-    if args.collection:
-        from repro.bench.collection import (
-            format_collection_bench,
-            run_collection_bench,
-        )
-
-        report = run_collection_bench(
-            # the service-bench repeat/documents defaults are sized for
-            # the cheaper single-backend loop; substitute collection-
-            # mode defaults unless the user overrode them
-            documents=args.documents if args.documents != 4 else 8,
-            factor=args.factor,
-            repeat=args.repeat if args.repeat != 40 else 5,
-            shards=tuple(int(n) for n in args.shard_curve.split(",")),
-            quick=args.quick,
-            executor=args.executor,
-        )
-        print(format_collection_bench(report))
-        if args.out:
-            Path(args.out).write_text(json.dumps(report, indent=1) + "\n")
-            print(f"-- wrote {args.out}")
-        return 0
-
-    from repro.service.bench import format_service_bench, run_service_bench
-
-    report = run_service_bench(
+    config = ChaosConfig(
+        seed=args.fault_seed,
+        threads=args.threads,
+        queries_per_thread=args.queries_per_thread,
+        rate=args.fault_rate,
         factor=args.factor,
-        repeat=args.repeat,
-        workers=tuple(int(w) for w in args.workers.split(",")),
-        queries=tuple(args.queries.split(",")),
-        quick=args.quick,
+        deadline_s=args.deadline,
+        shards=args.shards,
+        documents=args.documents,
         executor=args.executor,
     )
-    print(format_service_bench(report))
+    report = run_chaos_campaign(config)
+    print(format_chaos_report(report))
     if args.out:
         Path(args.out).write_text(json.dumps(report, indent=1) + "\n")
         print(f"-- wrote {args.out}")
-    return 0
+    return 0 if report["contract"]["holds"] else 1
 
 
 def _generate(kind: str, factor: float, seed: int) -> str:

@@ -60,6 +60,7 @@ from repro.pipeline import XQueryProcessor
 from repro.service.resilience import RetryPolicy
 from repro.service.service import QueryService
 from repro.workloads import XMARK_QUERIES, XMarkConfig, generate_xmark
+from repro.workloads.queries import COLLECTION_QUERIES
 
 __all__ = ["ChaosConfig", "format_chaos_report", "run_chaos_campaign"]
 
@@ -100,6 +101,14 @@ class ChaosConfig:
     #: pipe and the ledger must balance across process boundaries
     #: (ignored in single mode, which has no shard executor)
     executor: str = "thread"
+
+    def __post_init__(self) -> None:
+        unknown = sorted(set(self.collection_query_mix) - set(COLLECTION_QUERIES))
+        if unknown:
+            raise ValueError(
+                f"unknown collection_query_mix name(s) {unknown}; "
+                f"known: {sorted(COLLECTION_QUERIES)}"
+            )
 
     def plan(self) -> FaultPlan:
         return FaultPlan.uniform(
@@ -182,7 +191,6 @@ def _sharded_target(config: ChaosConfig):
     """Sharded-mode storm target: a ShardedService over a multi-
     document corpus, queried through scatter-safe ``collection()``
     shapes so faults strike mid-fan-out."""
-    from repro.bench.collection import DEFAULT_COLLECTION_QUERIES
     from repro.service.scatter import ShardedService
     from repro.store import Collection
     from repro.workloads.corpus import CorpusConfig, xmark_corpus
@@ -193,10 +201,7 @@ def _sharded_target(config: ChaosConfig):
     )
     for index, tree in enumerate(corpus):
         collection.load_tree(tree, shard=index % config.shards)
-    texts = {
-        name: DEFAULT_COLLECTION_QUERIES[name]
-        for name in config.collection_query_mix
-    }
+    texts = {name: COLLECTION_QUERIES[name] for name in config.collection_query_mix}
 
     oracle_processor = XQueryProcessor(
         store=collection.combined_store(),

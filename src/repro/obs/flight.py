@@ -8,7 +8,8 @@ decision, retries/degrades/breaker state, per-phase nanoseconds, row
 counts, deadline budget consumed.  The recorder is always on: the ring
 is a ``collections.deque`` with ``maxlen`` behind one short lock
 acquisition per query, cheap enough for the hot path (the overhead
-gate lives in ``BENCH_service.json`` / CI's observability-smoke job).
+gate is ``obs.flight_overhead_pct`` of the ``warm_exec`` workload in
+``benchmarks/e2e``, held under 3% by CI's ``e2e-bench`` job).
 
 A tail-sampling **slow-query log** promotes any record over a
 configurable latency threshold — and *every* degraded or surfaced

@@ -85,3 +85,15 @@ PAPER_QUERIES: dict[str, PaperQuery] = {
 Q0 = (
     'doc("auction.xml")/descendant::bidder/child::*/child::text()'
 )
+
+#: Predicate-heavy ``collection()`` shapes, each ending in a location
+#: step after the predicate so the result is document-ordered and the
+#: query scatter-safe.  The sharded chaos campaign storms them under
+#: these names; the soak's interactive and analytics tenants
+#: (:data:`repro.workloads.soak.DEFAULT_TENANTS`) submit the same texts.
+COLLECTION_QUERIES: dict[str, str] = {
+    "CX1": 'collection()//closed_auction[itemref/@item = "item3"]/price',
+    "CX2": 'collection()//person[address/country = "United States"]/name',
+    "CX3": 'collection()//open_auction[bidder/increase > 25]/seller',
+    "CX4": 'collection()//closed_auction[price > 500]/itemref',
+}

@@ -9,13 +9,10 @@ documents every stamp we emit.
 from __future__ import annotations
 
 import json
-import math
 from pathlib import Path
 
 SCHEMAS = (
     "repro.bench.table9/v3",
-    "repro.bench.collection/v3",
-    "repro.service.bench/v4",
     "repro.faults.campaign/v3",
     "repro.obs.metrics/v1",
     "repro.obs.flight/v1",
@@ -48,115 +45,6 @@ def test_bench_table9_v3():
     assert set(entry) == {
         "query", "engine", "seconds", "result_size", "correct", "phases",
     }
-    _json_ready(doc)
-
-
-# -- repro.bench.collection/v3 ---------------------------------------------
-
-
-def _check_collection_doc(doc: dict, executor: str) -> None:
-    assert doc["schema"] == "repro.bench.collection/v3"
-    meta = doc["metadata"]
-    assert meta["documents"] == 2
-    assert meta["quick"] is True
-    assert meta["placement"] == "round-robin"
-    assert meta["executor"] == executor
-    assert meta["cpu_count"] >= 1
-    assert doc["serial_baseline"]["seconds"] > 0
-    assert set(doc["serial_baseline"]["latency_ms"]) == _LATENCY_KEYS
-    assert doc["serial_baseline"]["latency_ms"]["count"] > 0
-    assert [point["shards"] for point in doc["curve"]] == [1, 2]
-    for point in doc["curve"]:
-        assert point["seconds"] > 0
-        # v3: every curve point carries the executor mode, whether the
-        # fan-out dispatched in parallel, and its absolute throughput
-        # and speedup (the fields v2 omitted)
-        assert point["executor"] == executor
-        assert isinstance(point["parallel"], bool)
-        assert point["queries_per_second"] > 0
-        assert math.isfinite(point["speedup"])
-        assert point["speedup"] == point["speedup_vs_serial"]
-        assert math.isfinite(point["speedup_vs_1_shard"])
-        assert math.isfinite(point["speedup_vs_serial"])
-        assert sum(point["documents_per_shard"]) == 2
-        assert set(point["fanout"].values()) <= {1, point["shards"]}
-        latency = point["latency_ms"]
-        assert set(latency) == _LATENCY_KEYS
-        assert latency["count"] > 0
-        assert latency["p50"] <= latency["p95"] <= latency["p99"]
-    _json_ready(doc)
-
-
-def test_bench_collection_v3():
-    from repro.bench.collection import run_collection_bench
-
-    doc = run_collection_bench(
-        documents=2, factor=0.001, repeat=1, shards=(1, 2), quick=True
-    )
-    _check_collection_doc(doc, "thread")
-
-
-def test_bench_collection_v3_process_executor():
-    from repro.bench.collection import run_collection_bench
-
-    doc = run_collection_bench(
-        documents=2, factor=0.001, repeat=1, shards=(1, 2), quick=True,
-        executor="process",
-    )
-    _check_collection_doc(doc, "process")
-
-
-# -- repro.service.bench/v4 ------------------------------------------------
-
-
-def test_service_bench_v4():
-    from repro.service.bench import run_service_bench
-
-    doc = run_service_bench(
-        factor=0.001, repeat=2, workers=(1,), quick=True
-    )
-    assert doc["schema"] == "repro.service.bench/v4"
-    assert doc["metadata"]["executor"] == "thread"
-    assert doc["metadata"]["cpu_count"] >= 1
-    assert doc["uncached_baseline"]["queries_per_second"] > 0
-    assert doc["cached"]["cache"]["hits"] > 0
-    assert [point["workers"] for point in doc["scaling"]] == [1]
-    for mode in (doc["uncached_baseline"], doc["cached"], *doc["scaling"]):
-        latency = mode["latency_ms"]
-        assert set(latency) == _LATENCY_KEYS
-        assert latency["count"] > 0
-        assert latency["p50"] <= latency["p95"] <= latency["p99"]
-    for point in doc["scaling"]:
-        assert point["executor"] == "thread"
-    views = doc["views"]
-    assert views["verified"] is True
-    assert views["view_hits"] > 0
-    assert views["view_hit_rate"] >= 0.30
-    assert views["variant_view_rate"] > 0
-    assert views["speedup_vs_full_compile"] > 0
-    assert views["manager"]["admitted"] == views["templates"]
-    overhead = doc["flight_overhead"]
-    assert overhead["trials"] > 0
-    assert overhead["disabled_seconds"] > 0
-    assert overhead["enabled_seconds"] > 0
-    assert math.isfinite(overhead["overhead_pct"])
-    _json_ready(doc)
-
-
-def test_service_bench_v4_process_executor():
-    from repro.service.bench import run_service_bench
-
-    doc = run_service_bench(
-        factor=0.001, repeat=2, workers=(1, 2), quick=True,
-        executor="process",
-    )
-    assert doc["schema"] == "repro.service.bench/v4"
-    assert doc["metadata"]["executor"] == "process"
-    assert [point["workers"] for point in doc["scaling"]] == [1, 2]
-    for point in doc["scaling"]:
-        assert point["executor"] == "process"
-        assert point["queries_per_second"] > 0
-        assert point["latency_ms"]["count"] > 0
     _json_ready(doc)
 
 

@@ -11,6 +11,8 @@ from __future__ import annotations
 import threading
 from random import Random
 
+import pytest
+
 from repro.errors import ServiceError
 from repro.faults import FaultPlan, injection
 from repro.faults.campaign import (
@@ -92,6 +94,11 @@ def test_chaos_campaign_contract_holds_in_process_mode():
     )
     assert report["contract"]["holds"]
     assert "process executor" in format_chaos_report(report)
+
+
+def test_unknown_collection_query_name_is_rejected_up_front():
+    with pytest.raises(ValueError, match=r"CX9.*known.*CX1.*CX4"):
+        ChaosConfig(shards=2, collection_query_mix=("CX1", "CX9"))
 
 
 def test_no_stale_results_across_midstorm_reload():

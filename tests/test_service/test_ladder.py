@@ -1,7 +1,8 @@
 """The one cache ladder, behind both service shells: the same tier
 sequence — miss → exact → canonical back-fill → view → invalidated by
 ``load`` → single-flight — must read identically on
-:class:`QueryService` and :class:`ShardedService`."""
+:class:`QueryService` and :class:`ShardedService`, on hand-written
+documents and on the XMark families a templated client narrows."""
 
 from __future__ import annotations
 
@@ -10,9 +11,12 @@ import time
 
 import pytest
 
+from repro.obs import get_metrics
 from repro.pipeline import XQueryProcessor
 from repro.service import QueryService, ShardedService
 from repro.store import Collection
+from repro.workloads import CorpusConfig, xmark_corpus
+from repro.xmltree.serializer import serialize
 
 DOCS = [
     ('<r><a id="1"><b>1</b><c>1</c></a><a><b>2</b></a></r>', "u0.xml"),
@@ -21,20 +25,32 @@ DOCS = [
 ]
 LATE = ('<r><a id="4"><b>9</b><c>9</c></a></r>', "u3.xml")
 
+#: a hot listing and two strictly contained narrowings of it, per
+#: XMark entity: the base's pattern plus one more branch predicate
+VIEW_FAMILIES = [
+    ("//item[location]", ("//item[location][quantity]", "//item[location][payment]")),
+    (
+        "//open_auction[initial]",
+        ("//open_auction[initial][bidder]", "//open_auction[initial][current]"),
+    ),
+    ("//person[name]", ("//person[name][emailaddress]", "//person[name][watches]")),
+]
+
 
 class Shell:
     """One service shape plus the query prefix that spans its corpus."""
 
-    def __init__(self, shape: str):
+    def __init__(self, shape: str, docs=DOCS):
+        self.default_doc = docs[0][1]
         if shape == "unsharded":
             self.service = QueryService(workers=2, view_admit_after=2)
-            self.source = 'doc("u0.xml")'
+            self.source = f'doc("{self.default_doc}")'
         else:
             self.service = ShardedService(
                 Collection(2), workers_per_shard=1, view_admit_after=2
             )
             self.source = 'collection("*")'
-        for text, uri in DOCS:
+        for text, uri in docs:
             self.service.load(text, uri)
 
     def q(self, path: str) -> str:
@@ -43,20 +59,22 @@ class Shell:
     def outcome(self) -> str:
         return self.service.flight.records()[-1].cache
 
-    def reference(self, query: str) -> list[int]:
-        """A cold compile on a bare processor over the same content."""
+    def bare(self) -> XQueryProcessor:
+        """A cache-less processor over the same content."""
         if isinstance(self.service, ShardedService):
             collection = self.service.collection
-            bare = XQueryProcessor(
+            return XQueryProcessor(
                 store=collection.combined_store(),
-                default_doc=DOCS[0][1],
+                default_doc=self.default_doc,
                 collections=collection.resolve,
             )
-        else:
-            bare = XQueryProcessor(
-                store=self.service.store, default_doc=DOCS[0][1]
-            )
-        return list(bare.execute(query, engine="joingraph-sql"))
+        return XQueryProcessor(
+            store=self.service.store, default_doc=self.default_doc
+        )
+
+    def reference(self, query: str) -> list[int]:
+        """A cold compile on a bare processor over the same content."""
+        return list(self.bare().execute(query, engine="joingraph-sql"))
 
 
 @pytest.fixture(params=["unsharded", "sharded"])
@@ -110,6 +128,35 @@ def test_tier_sequence(shell):
     for query in (contained, respelled):
         assert list(service.execute(query)) == shell.reference(query)
         assert shell.outcome() == "miss"
+
+
+@pytest.mark.parametrize("shape", ["unsharded", "sharded"])
+def test_contained_variants_are_view_hits_without_a_compile(shape):
+    """Once a family's base is hot, every narrowing of it is answered
+    from the view's rows: no compile, and the bytes a bare processor
+    would have produced."""
+    corpus = xmark_corpus(CorpusConfig(documents=2, factor=0.002))
+    shell = Shell(shape, [(serialize(tree), tree.uri) for tree in corpus])
+    with shell.service as service:
+        for base, _ in VIEW_FAMILIES:
+            for _ in range(2):  # the second execution admits the view
+                service.execute(shell.q(base))
+        assert len(service.views) == service.views.admitted == len(VIEW_FAMILIES)
+
+        compiles = get_metrics().counters["pipeline.compiles"]
+        served = {}
+        for _, variants in VIEW_FAMILIES:
+            for variant in variants:
+                served[variant] = service.execute(shell.q(variant))
+                assert shell.outcome() == "view", variant
+        assert get_metrics().counters["pipeline.compiles"] == compiles
+        assert service.cache_stats().view.hits == len(served)
+
+        bare = shell.bare()
+        for variant, items in served.items():
+            expected = bare.execute(shell.q(variant), engine="joingraph-sql")
+            assert list(items) == list(expected), variant
+            assert service.serialize(items) == bare.serialize(expected), variant
 
 
 def test_cold_compile_is_single_flight(shell):
