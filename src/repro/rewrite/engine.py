@@ -199,11 +199,7 @@ class IsolationEngine:
                 stats.phase_ns[phase_name] = perf_counter_ns() - start
             validate_plan(root)
             stats.nodes_after = len(ctx.parents)
-            span.set(
-                nodes_after=stats.nodes_after,
-                steps=stats.steps,
-                cycles_broken=stats.cycles_broken,
-            )
+            span.set(nodes_after=stats.nodes_after, steps=stats.steps)
         self._flush_metrics(stats)
         return root, stats
 
@@ -213,7 +209,6 @@ class IsolationEngine:
         metrics = get_metrics()
         metrics.count("rewrite.runs")
         metrics.count("rewrite.steps", stats.steps)
-        metrics.count("rewrite.cycles_broken", stats.cycles_broken)
         for rule, fires in stats.applications.items():
             metrics.count(f"rewrite.rule_fired.{rule}", fires)
         for rule, attempts in stats.rule_attempts.items():

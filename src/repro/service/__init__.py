@@ -6,9 +6,10 @@ economics on top — a compiled-plan LRU (:class:`CompiledQueryCache`),
 a thread-safe shared-cache SQLite connection pool
 (:class:`BackendPool`), the :class:`QueryService` facade with
 batch/concurrent execution, and the asyncio multi-tenant
-:class:`FrontDoor` (per-tenant quotas, weighted-fair admission,
-coalesced batching).  See ``docs/performance.md`` and
-``docs/serving.md``.
+:class:`FrontDoor` (per-tenant quotas, weighted-fair admission, and
+batches drained whenever an execution slot frees, with identical
+canonical plans coalesced into one execution).  See
+``docs/performance.md`` and ``docs/serving.md``.
 """
 
 from repro.service.cache import (

@@ -15,22 +15,27 @@ executor, in admission order:
    (:class:`~repro.service.tenancy.WeightedFairQueue`), so a flooding
    tenant cannot starve the others; a lane at its backlog cap answers
    a typed :class:`~repro.errors.ServiceOverloaded`.
-3. **Batched intake with canonical coalescing** — the dispatcher
-   drains the fair queue into small batches, compiles each distinct
-   query through the service's canonical plan cache, and groups
+3. **Opportunistic batching with canonical coalescing** — the
+   dispatcher waits for a free execution slot
+   (``max_concurrent_batches``), then drains whatever the fair queue
+   holds, up to :data:`BATCH_MAX`, into one batch: batches grow with
+   the backlog and no timer holds a request back.  Each distinct
+   query compiles through the service's canonical plan cache, and
    requests whose texts resolve to the *same cached plan* (identical
-   canonical-cache keys — template respellings included) into one
-   execution whose :class:`~repro.Result` every waiter shares.  A
-   batch runs through the underlying service on a worker thread, the
-   same ``run_many`` shape the service optimizes for, under an
-   :class:`~repro.service.AdmissionGate` slot.
+   canonical-cache keys — template respellings included) under the
+   same engine and deadline budget form one execution whose
+   :class:`~repro.Result` every waiter shares.  A batch runs through
+   the underlying service on a worker thread.
 
-Execution runs under a per-group private metrics registry (a
-:class:`~repro.service.core.MetricsBridge`, the same lossless merge
-the worker pools use), which is what makes the **per-tenant fault ledger** possible: the injected /
-retried / degraded / surfaced tallies of each execution are read off
-the group's registry and attributed to the tenant that triggered it,
-so ``injected == retried + degraded + surfaced`` can be asserted per
+A batch records through one :class:`~repro.service.core.MetricsBridge`
+(the same lossless merge the worker pools use) into
+:attr:`FrontDoor.metrics`: the compile phase, every coalesced
+execution and the working-set pass each record into a private
+registry that merges when the step ends.  That is what makes the
+**per-tenant fault ledger** possible: the injected / retried /
+degraded / surfaced delta an execution leaves on its registry is
+attributed to the tenant that triggered it, so
+``injected == retried + degraded + surfaced`` can be asserted per
 tenant, not just globally (``docs/serving.md``).
 
 For corpora larger than RAM, an optional **working-set manager**
@@ -68,7 +73,6 @@ from repro.obs.metrics import MetricsRegistry, get_metrics
 from repro.pipeline import CompiledQuery
 from repro.result import Result
 from repro.service.core import MetricsBridge
-from repro.service.resilience import AdmissionGate
 from repro.service.scatter import ShardedService, scatter_uris
 from repro.service.service import QueryService
 from repro.service.tenancy import TenantSpec, TokenBucket, WeightedFairQueue
@@ -78,6 +82,10 @@ __all__ = ["FrontDoor", "TenantSpec"]
 #: the fault-disposition keys of the per-tenant ledger; the invariant
 #: ``injected == retried + degraded + surfaced`` is asserted over them
 LEDGER_KEYS = ("injected", "retried", "degraded", "surfaced")
+
+#: the most queued requests one batch drains; a batch takes whatever
+#: is queued up to this when an execution slot frees
+BATCH_MAX = 16
 
 
 @dataclass
@@ -245,13 +253,11 @@ class FrontDoor:
     tenants:
         The tenant contracts.  Submissions for unknown tenants raise
         ``ValueError`` (misconfiguration, not backpressure).
-    batch_max, batch_window_s:
-        Intake batching: the dispatcher drains up to ``batch_max``
-        queries per batch and, when the first drain comes up short,
-        waits ``batch_window_s`` for stragglers to coalesce with.
     max_concurrent_batches:
         Parallel batch executions (each runs on one worker thread over
-        the service, which fans out internally).
+        the service, which fans out internally) — the door's one
+        concurrency bound.  A batch forms when a slot frees and takes
+        whatever is queued, up to :data:`BATCH_MAX`.
     working_set_bytes:
         Optional RAM budget for the shard-payload working set (only
         meaningful for a sharded service on the process executor).
@@ -266,8 +272,6 @@ class FrontDoor:
         service: ShardedService | QueryService,
         tenants: Sequence[TenantSpec],
         *,
-        batch_max: int = 16,
-        batch_window_s: float = 0.002,
         max_concurrent_batches: int = 4,
         working_set_bytes: int | None = None,
         deadline_s: float | None = None,
@@ -275,23 +279,16 @@ class FrontDoor:
     ):
         if not tenants:
             raise ValueError("at least one tenant is required")
-        if batch_max < 1:
-            raise ValueError(f"batch_max must be >= 1, got {batch_max}")
-        if batch_window_s < 0:
-            raise ValueError("batch_window_s must be non-negative")
         if max_concurrent_batches < 1:
             raise ValueError("max_concurrent_batches must be >= 1")
         names = [spec.name for spec in tenants]
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate tenant names in {names}")
         self.service = service
-        self.batch_max = batch_max
-        self.batch_window_s = batch_window_s
         self.max_concurrent_batches = max_concurrent_batches
         self.deadline_s = deadline_s
         self.metrics = MetricsRegistry()
         self._merge_lock = threading.Lock()
-        self._gate = AdmissionGate(capacity=max_concurrent_batches)
         self._queue_lock = threading.Lock()
         self._wfq = WeightedFairQueue()
         self._tenants: dict[str, _TenantState] = {}
@@ -449,20 +446,12 @@ class FrontDoor:
                         continue
                 await self._wake.wait()
                 continue
-            batch = self._drain(self.batch_max)
-            if (
-                batch
-                and len(batch) < self.batch_max
-                and self.batch_window_s > 0
-                and not self._closing
-            ):
-                # a short intake window lets template respellings from
-                # other tenants coalesce onto the same cached plan
-                await asyncio.sleep(self.batch_window_s)
-                batch.extend(self._drain(self.batch_max - len(batch)))
-            if not batch:
-                continue
+            # slot first, then drain: whatever queued while every slot
+            # was busy joins this batch, so batches grow with the
+            # backlog and nothing waits on a timer (only this loop
+            # takes from the queue, so the drain is never empty)
             await self._batch_sem.acquire()
+            batch = self._drain(BATCH_MAX)
             task = asyncio.create_task(self._run_batch(batch))
             self._batches.add(task)
             task.add_done_callback(self._batch_done)
@@ -484,33 +473,37 @@ class FrontDoor:
     # -- execution (worker threads) ------------------------------------
 
     def _execute_batch(self, batch: list[_Request]) -> None:
-        touched: set[int] = set()
         bridge = MetricsBridge(self._merge_lock, into=self.metrics)
-        with bridge.scope() as outer:
-            outer.count("service.frontdoor.batches")
-            outer.count("service.frontdoor.batched", len(batch))
-            with self._gate.slot():
-                for group in self._coalesce(batch, outer):
-                    touched |= self._execute_group(group, outer)
-            if self._working_set is not None:
+        with bridge.scope() as metrics:
+            metrics.count("service.frontdoor.batches")
+            metrics.count("service.frontdoor.batched", len(batch))
+            groups = self._coalesce(batch, metrics)
+        touched: set[int] = set()
+        for group in groups:
+            with bridge.scope() as local:
+                touched |= self._execute_group(group, local)
+        if self._working_set is not None:
+            with bridge.scope():
                 self._working_set.after_batch(touched)
 
     def _coalesce(
         self, batch: list[_Request], metrics: MetricsRegistry
     ) -> list[_Group]:
         """Compile every request through the canonical plan cache and
-        group the ones that resolved to the same cached plan: identical
-        canonical-cache keys hand back the *same* compiled object, so
-        object identity is exactly key identity."""
-        groups: dict[tuple[int, str], _Group] = {}
-        order: list[tuple[int, str]] = []
+        group the ones that resolved to the same cached plan under the
+        same engine and deadline budget: identical canonical-cache keys
+        hand back the *same* compiled object, so object identity is
+        exactly key identity.  The budget is part of the key so that no
+        waiter fails on, or is answered past, another's deadline."""
+        groups: dict[tuple[int, str, float | None], _Group] = {}
+        order: list[tuple[int, str, float | None]] = []
         for request in batch:
             try:
                 compiled = self.service.compile(request.query)
             except ReproError as error:
                 self._resolve(request, error=error)
                 continue
-            key = (id(compiled), request.engine.value)
+            key = (id(compiled), request.engine.value, request.deadline_s)
             group = groups.get(key)
             if group is None:
                 groups[key] = group = _Group(
@@ -523,27 +516,27 @@ class FrontDoor:
         return [groups[key] for key in order]
 
     def _execute_group(
-        self, group: _Group, outer: MetricsRegistry
+        self, group: _Group, local: MetricsRegistry
     ) -> set[int]:
-        """One coalesced execution under a private registry; the fault
-        ledger delta is attributed to the leading tenant.  Returns the
-        shards the execution touched (working-set recency)."""
+        """One coalesced execution recording into its private registry
+        ``local``; the fault ledger delta is attributed to the leading
+        tenant.  Returns the shards the execution touched (working-set
+        recency)."""
         leader = group.requests[0]
         result: Result | None = None
         error: BaseException | None = None
-        with MetricsBridge().scope() as local:
-            try:
-                result = self.service.execute(
-                    group.compiled,
-                    group.engine,
-                    deadline_s=leader.deadline_s,
-                )
-            except Exception as exc:
-                # typed ServiceErrors and surfaced injected backend
-                # faults alike belong to every coalesced waiter
-                error = exc
-            self._attribute(leader.tenant, local)
-        outer.count("service.frontdoor.executions")
+        try:
+            result = self.service.execute(
+                group.compiled,
+                group.engine,
+                deadline_s=leader.deadline_s,
+            )
+        except Exception as exc:
+            # typed ServiceErrors and surfaced injected backend
+            # faults alike belong to every coalesced waiter
+            error = exc
+        self._attribute(leader.tenant, local)
+        local.count("service.frontdoor.executions")
         for request in group.requests:
             self._resolve(request, result=result, error=error)
         return self._touched_shards(group.compiled)
@@ -646,7 +639,7 @@ class FrontDoor:
                 name: state.stats() for name, state in self._tenants.items()
             },
             "queue": queue,
-            "inflight_batches": self._gate.inflight,
+            "inflight_batches": len(self._batches),
             "working_set": (
                 self._working_set.stats()
                 if self._working_set is not None

@@ -154,9 +154,6 @@ class SoakConfig:
     #: fraction of OK responses sampled for the differential gate
     differential_rate: float = 0.01
     max_differential_samples: int = 64
-    batch_max: int = 16
-    batch_window_s: float = 0.002
-    max_concurrent_batches: int = 4
     working_set_bytes: int | None = None
     tenants: tuple[TenantProfile, ...] = DEFAULT_TENANTS
 
@@ -296,9 +293,6 @@ async def _run_point(
     async with FrontDoor(
         service,
         [profile.spec() for profile in config.tenants],
-        batch_max=config.batch_max,
-        batch_window_s=config.batch_window_s,
-        max_concurrent_batches=config.max_concurrent_batches,
         working_set_bytes=config.working_set_bytes,
         deadline_s=config.deadline_s,
     ) as door:

@@ -16,7 +16,12 @@ import threading
 
 import pytest
 
-from repro.errors import QuotaExceeded, ServiceError, ServiceOverloaded
+from repro.errors import (
+    DeadlineExceeded,
+    QuotaExceeded,
+    ServiceError,
+    ServiceOverloaded,
+)
 from repro.pipeline import XQueryProcessor
 from repro.service import FrontDoor, ShardedService, TenantSpec
 from repro.store import Collection
@@ -91,52 +96,58 @@ def test_quota_exhaustion_is_typed_and_carries_retry_hint():
         service.close()
 
 
-def test_backlog_overflow_surfaces_service_overloaded():
-    service = make_service()
+def gate_first_execution(service: ShardedService):
+    """Make the service's first execution block until released; returns
+    ``(entered, release)`` events.  With one batch slot, everything
+    submitted while the gated execution holds the slot stays queued and
+    forms the next batch."""
+    entered = threading.Event()
     release = threading.Event()
     original_execute = service.execute
 
-    def slow_execute(*args, **kwargs):
-        assert release.wait(10), "test gate never released"
+    def gated_execute(*args, **kwargs):
+        if not entered.is_set():
+            entered.set()
+            assert release.wait(10), "test gate never released"
         return original_execute(*args, **kwargs)
 
-    service.execute = slow_execute  # type: ignore[method-assign]
+    service.execute = gated_execute  # type: ignore[method-assign]
+    return entered, release
+
+
+async def wait_queued(door: FrontDoor, count: int) -> None:
+    for _ in range(400):
+        if len(door._wfq) == count:
+            return
+        await asyncio.sleep(0.005)
+    raise AssertionError(f"{len(door._wfq)} queued, expected {count}")
+
+
+def test_backlog_overflow_surfaces_service_overloaded():
+    service = make_service()
+    entered, release = gate_first_execution(service)
     try:
 
         async def scenario():
             specs = [generous("alpha", max_backlog=2)]
             async with FrontDoor(
-                service,
-                specs,
-                batch_max=1,
-                batch_window_s=0.0,
-                max_concurrent_batches=1,
+                service, specs, max_concurrent_batches=1
             ) as door:
-                # fill the pipeline in stages: 1 executing + 1 drained
-                # awaiting a batch slot, then 2 queued at the lane cap
+                # one request executes behind the gate, holding the
+                # only slot; the next two wait in the lane at its cap
                 tasks = [
                     asyncio.create_task(
                         door.submit("alpha", "collection()//a")
                     )
-                    for _ in range(2)
                 ]
-                for _ in range(400):
-                    await asyncio.sleep(0.005)
-                    if len(door._wfq) == 0 and (
-                        door.stats()["tenants"]["alpha"]["admitted"] == 2
-                    ):
-                        break
-                assert len(door._wfq) == 0, "dispatcher never drained"
+                await asyncio.to_thread(entered.wait, 10)
                 tasks += [
                     asyncio.create_task(
                         door.submit("alpha", "collection()//a")
                     )
                     for _ in range(2)
                 ]
-                for _ in range(400):
-                    await asyncio.sleep(0.005)
-                    if door.stats()["tenants"]["alpha"]["admitted"] == 4:
-                        break
+                await wait_queued(door, 2)
                 with pytest.raises(ServiceOverloaded, match="backlog full"):
                     await door.submit("alpha", "collection()//a")
                 release.set()
@@ -144,7 +155,7 @@ def test_backlog_overflow_surfaces_service_overloaded():
                 assert all(len(r) == 4 for r in results)
                 stats = door.stats()
             assert stats["tenants"]["alpha"]["rejected_overload"] == 1
-            assert stats["tenants"]["alpha"]["ok"] == 4
+            assert stats["tenants"]["alpha"]["ok"] == 3
 
         asyncio.run(scenario())
     finally:
@@ -154,19 +165,20 @@ def test_backlog_overflow_surfaces_service_overloaded():
 
 def test_identical_canonical_keys_coalesce_into_one_execution():
     service = make_service()
+    entered, release = gate_first_execution(service)
     try:
 
         async def scenario():
             specs = [generous("alpha"), generous("beta")]
             async with FrontDoor(
-                service,
-                specs,
-                batch_max=16,
-                # a long window so every submission below lands in one
-                # batch deterministically
-                batch_window_s=0.2,
-                max_concurrent_batches=1,
+                service, specs, max_concurrent_batches=1
             ) as door:
+                # the gated execution holds the only slot, so the four
+                # submissions below queue up and drain as one batch
+                gate = asyncio.create_task(
+                    door.submit("alpha", "collection()//site")
+                )
+                await asyncio.to_thread(entered.wait, 10)
                 same = "collection()//a"
                 respelled = "  collection()//a  "  # same canonical key
                 other = "collection()//b"
@@ -176,17 +188,60 @@ def test_identical_canonical_keys_coalesce_into_one_execution():
                     asyncio.create_task(door.submit("alpha", respelled)),
                     asyncio.create_task(door.submit("beta", other)),
                 ]
+                await wait_queued(door, 4)
+                release.set()
                 results = await asyncio.gather(*tasks)
+                await gate
             # the three equivalent spellings share one Result object
             assert results[0] is results[1] is results[2]
             assert results[3] is not results[0]
             counters = door.stats()["counters"]
-            assert counters["service.frontdoor.executions"] == 2
+            assert counters["service.frontdoor.batches"] == 2
+            assert counters["service.frontdoor.batched"] == 5
+            assert counters["service.frontdoor.executions"] == 3
             assert counters["service.frontdoor.coalesced"] == 2
-            assert counters["service.frontdoor.batches"] == 1
 
         asyncio.run(scenario())
     finally:
+        release.set()
+        service.close()
+
+
+def test_coalescing_never_shares_a_deadline():
+    """The same query under two budgets in one batch runs as two
+    executions: a tight-deadline request must not fail a waiter that has
+    no deadline (nor hand a tight waiter an answer past its budget)."""
+    service = make_service()
+    entered, release = gate_first_execution(service)
+    try:
+
+        async def scenario():
+            async with FrontDoor(
+                service, [generous("alpha")], max_concurrent_batches=1
+            ) as door:
+                gate = asyncio.create_task(
+                    door.submit("alpha", "collection()//site")
+                )
+                await asyncio.to_thread(entered.wait, 10)
+                tight = asyncio.create_task(
+                    door.submit("alpha", "collection()//a", deadline_s=1e-6)
+                )
+                loose = asyncio.create_task(
+                    door.submit("alpha", "collection()//a")
+                )
+                await wait_queued(door, 2)
+                release.set()
+                with pytest.raises(DeadlineExceeded):
+                    await tight
+                assert len(await loose) == 4
+                await gate
+            counters = door.stats()["counters"]
+            assert counters["service.frontdoor.batches"] == 2
+            assert counters.get("service.frontdoor.coalesced", 0) == 0
+
+        asyncio.run(scenario())
+    finally:
+        release.set()
         service.close()
 
 
@@ -242,11 +297,7 @@ def test_eviction_under_concurrent_queries_stays_byte_identical():
         async def scenario():
             specs = [generous("alpha"), generous("beta")]
             async with FrontDoor(
-                service,
-                specs,
-                batch_max=4,
-                batch_window_s=0.0,
-                working_set_bytes=1,
+                service, specs, working_set_bytes=1
             ) as door:
                 for _ in range(3):
                     results = await asyncio.gather(
