@@ -38,9 +38,11 @@ def main() -> None:
         print("\nVLDB 2001 title:", title.serialize())
 
         # -- Q6: the tuple query ("return-tuple" of [15]) ------------
-        # tuple compilation is a pipeline-layer feature, reached
-        # through the session's serving stack
-        processor = session.service.processor
+        # tuple compilation is a pipeline-layer feature: a processor
+        # over the session's store
+        processor = repro.XQueryProcessor(
+            store=session.service.store, default_doc="dblp.xml"
+        )
         components = processor.compile_tuple(EARLY_THESES)
         columns = [processor.execute(c) for c in components]
         print(f"\npre-1994 PhD theses: {len(columns[0])}")

@@ -28,8 +28,8 @@ versioning promise in ``docs/api.md``): :func:`connect` /
 :class:`Session`, the :class:`Result` / :class:`Serialized` return
 types, the :class:`Engine` enum, the error hierarchy, and the
 lower-level building blocks :class:`XQueryProcessor`,
-:class:`QueryService`, :class:`ShardedService`, :class:`Collection`
-and the infoset encoding.
+:class:`ShardedService` (the one serving class, one shard or many),
+:class:`Collection` and the infoset encoding.
 
 Sub-packages
 ------------
@@ -78,14 +78,13 @@ from repro.result import Result, Serialized
 from repro.service import (
     CacheStats,
     FrontDoor,
-    QueryService,
     ShardedService,
     TenantSpec,
     TierStats,
 )
 from repro.store import Collection
 
-__version__ = "1.3.0"
+__version__ = "2.0.0"
 
 __all__ = [
     "AnalysisError",
@@ -104,7 +103,6 @@ __all__ = [
     "FrontDoor",
     "PlanError",
     "PoolRetiredError",
-    "QueryService",
     "QuotaExceeded",
     "ReproError",
     "Result",

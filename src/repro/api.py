@@ -15,13 +15,12 @@ One entry point regardless of deployment shape::
         result = session.execute('collection()//person[profile]/name')
         print(result.shards, result.engine)
 
-``connect(shards=1)`` serves through one :class:`QueryService` (the
-compiled-plan cache, backend pool and resilience stack of PR 3/4);
-``connect(shards=N)`` partitions documents across N shard tables and
-serves through the scatter-gather :class:`ShardedService`.  Both sit
-behind the same :class:`Session` surface, and both return the same
-:class:`repro.Result` objects, so callers never branch on the
-deployment shape.
+Every shard count serves through the one :class:`ShardedService`
+(``shards=1`` is a one-shard :class:`~repro.store.Collection`): the
+compiled-plan cache, the backend pools and the resilience stack, with
+scatter-gather across shard tables when there are several.  Callers
+never branch on the deployment shape: the :class:`Session` surface and
+the :class:`repro.Result` objects are the same for every shard count.
 
 Everything here is covered by the semantic-versioning promise stated
 in ``docs/api.md``; the layers underneath (``repro.pipeline``,
@@ -37,7 +36,6 @@ from repro.result import Result, Serialized
 from repro.service.cache import CacheStats
 from repro.service.resilience import RetryPolicy
 from repro.service.scatter import ShardedService
-from repro.service.service import QueryService
 from repro.store import Collection
 
 __all__ = ["Session", "connect"]
@@ -51,7 +49,7 @@ class Session:
     context manager or call :meth:`close` when done.
     """
 
-    def __init__(self, service: QueryService | ShardedService):
+    def __init__(self, service: ShardedService):
         self._service = service
 
     # -- introspection -------------------------------------------------
@@ -68,7 +66,7 @@ class Session:
         return self._service.documents
 
     @property
-    def service(self) -> QueryService | ShardedService:
+    def service(self) -> ShardedService:
         """The underlying serving layer (advanced use: resilience
         knobs, fault accounting, shard placement)."""
         return self._service
@@ -184,7 +182,8 @@ def connect(
     serialize_step:
         Compile the Section 4 serialization step into plans.
     workers:
-        Worker threads for batch execution (per shard when sharded).
+        Worker threads for :meth:`Session.run_many`; each shard's
+        dispatch width is ``max(1, workers // shards)``.
     cache_capacity:
         Compiled-plan LRU size.
     indexes:
@@ -194,14 +193,12 @@ def connect(
         retry policy, and graceful degradation (see
         ``docs/robustness.md``).
     executor:
-        Shard execution mode when sharded: ``"thread"`` (default) runs
+        Shard execution mode: ``"thread"`` (default) runs
         shard plans on in-process worker threads; ``"process"`` owns
         one long-lived worker process per shard with its own SQLite
         connection over a zero-copy attach of the shard image —
         compiled plans ship to the workers, sidestepping the GIL on
-        multi-core hosts (see ``docs/performance.md``).  Ignored for
-        ``shards=1``, where the single-backend thread service always
-        wins.
+        multi-core hosts (see ``docs/performance.md``).
     flight, slow_threshold_s:
         The query flight recorder (on by default): one structured
         record per query plus a slow-query log promoting queries over
@@ -217,34 +214,12 @@ def connect(
         answered from the view without compiling.  See
         ``docs/caching.md``.
     """
-    if shards < 1:
-        raise ValueError(f"shards must be >= 1, got {shards}")
-    if executor not in ("thread", "process"):
-        raise ValueError(
-            f"executor must be 'thread' or 'process', got {executor!r}"
-        )
-    if shards == 1:
-        service: QueryService | ShardedService = QueryService(
-            default_doc=default_doc,
-            serialize_step=serialize_step,
-            workers=workers,
-            cache_capacity=cache_capacity,
-            indexes=indexes,
-            deadline_s=deadline_s,
-            retry=retry,
-            degrade=degrade,
-            flight=flight,
-            slow_threshold_s=slow_threshold_s,
-            views=views,
-            view_budget_bytes=view_budget_bytes,
-            view_admit_after=view_admit_after,
-        )
-    else:
-        service = ShardedService(
+    return Session(
+        ShardedService(
             Collection(shards),
             default_doc=default_doc,
             serialize_step=serialize_step,
-            workers_per_shard=max(1, workers // shards),
+            workers=workers,
             cache_capacity=cache_capacity,
             indexes=indexes,
             deadline_s=deadline_s,
@@ -257,4 +232,4 @@ def connect(
             view_budget_bytes=view_budget_bytes,
             view_admit_after=view_admit_after,
         )
-    return Session(service)
+    )

@@ -431,16 +431,16 @@ def build_obs_parser() -> argparse.ArgumentParser:
         "--shards",
         type=int,
         default=1,
-        help="serve through a sharded collection of this many shards "
-        "(documents place by URI hash; default: 1, single backend)",
+        help="serve through a collection of this many shards "
+        "(documents place by URI hash; default: 1)",
     )
     parser.add_argument(
         "--executor",
         choices=("thread", "process"),
         default="thread",
-        help="shard execution mode for --shards > 1: 'thread' runs "
-        "shard plans in-process, 'process' dispatches to one worker "
-        "process per shard over the zero-copy attach — the executor "
+        help="shard execution mode: 'thread' runs shard plans "
+        "in-process, 'process' dispatches to worker processes per "
+        "shard over the zero-copy attach — the executor "
         "summary then shows per-worker request/merge counts",
     )
     parser.add_argument(
@@ -494,23 +494,15 @@ def obs_main(argv: list[str]) -> int:
     if args.shards < 1:
         parser.error("--shards must be >= 1")
 
-    from repro.service import QueryService, ShardedService
+    from repro.service import ShardedService
+    from repro.store import Collection
 
-    if args.shards > 1:
-        from repro.store import Collection
-
-        service: QueryService | ShardedService = ShardedService(
-            Collection(args.shards),
-            checked=args.checked,
-            executor=args.executor,
-            slow_threshold_s=args.slow_threshold,
-        )
-    else:
-        service = QueryService(
-            checked=args.checked,
-            workers=2,
-            slow_threshold_s=args.slow_threshold,
-        )
+    service = ShardedService(
+        Collection(args.shards),
+        checked=args.checked,
+        executor=args.executor,
+        slow_threshold_s=args.slow_threshold,
+    )
     previous_tracer, previous_metrics = get_tracer(), get_metrics()
     tracer = set_tracer(Tracer())
     metrics = set_metrics(MetricsRegistry())
@@ -526,11 +518,7 @@ def obs_main(argv: list[str]) -> int:
         service.execute(args.query, engine=args.engine)
         compiled = service.compile(args.query)
         service.serialize(items)
-        if isinstance(service, ShardedService):
-            table = service.collection.combined_store().table
-        else:
-            table = service.store.table
-        planner = JoinGraphPlanner(table)
+        planner = JoinGraphPlanner(service.store.table)
         plan = planner.plan(flatten_query(compiled.isolated_plan))
         _, audits = audit_plan(plan)
         if args.checked:
@@ -608,16 +596,10 @@ def _executor_report(stats: dict) -> str:
         lines.append(
             "  worker pool not started (query was served serially)"
         )
-    elif "per_shard" in stats:
-        lines.append(
-            f"  in-process shard threads over {len(stats['per_shard'])} "
-            "shard service(s); registry merges happen in-process "
-            "(no cross-process snapshots)"
-        )
     else:
         lines.append(
-            f"  in-process thread pool ({stats.get('workers', '?')} "
-            "worker(s)); registry merges happen in-process "
+            f"  in-process shard threads over {len(stats['per_shard'])} "
+            "shard(s); registry merges happen in-process "
             "(no cross-process snapshots)"
         )
     return "\n".join(lines)

@@ -1,7 +1,7 @@
 """The randomized differential chaos campaign.
 
 This is the proof behind ``docs/robustness.md``: hammer the
-:class:`repro.service.QueryService` from many threads while the fault
+:class:`repro.service.ShardedService` from many threads while the fault
 injector (:mod:`repro.faults.injector`) delivers backend misbehavior at
 a configured error rate, and hold the service to its contract:
 
@@ -20,14 +20,15 @@ The campaign is reproducible from its config: the injector draws from
 this campaign from the command line and prints/saves the report (CI
 uploads it as the chaos seed artifact).
 
-**Sharded mode** (``shards > 1``): the storm targets a
-:class:`repro.service.ShardedService` over a multi-document XMark
+The classic target is one XMark document on one shard.  **Sharded
+mode** (``shards > 1``): the storm targets a service over a
+multi-document XMark
 corpus with scatter-safe ``collection()`` queries, so injected faults
 land *inside* the scatter fan-out — a failing shard triggers the
 service's full-serial fallback, never a partial merge.  The contract
 is unchanged: answers stay bit-identical to the pre-storm oracle (a
 bare interpreter over the combined store) and the recovery ledger
-balances across every shard service plus the serial fallback.
+balances across every shard executor plus the serial fallback.
 
 The storm service carries a full-size **flight recorder** (every call
 retained, promotion by degradation/surfacing only), so the report
@@ -48,7 +49,6 @@ from typing import Any
 
 from repro.errors import ServiceError
 from repro.faults.injector import FaultInjector, FaultPlan, injection
-from repro.infoset.encoding import DocumentStore
 from repro.obs import (
     Histogram,
     MetricsRegistry,
@@ -58,7 +58,8 @@ from repro.obs import (
 from repro.obs.flight import FlightRecorder
 from repro.pipeline import XQueryProcessor
 from repro.service.resilience import RetryPolicy
-from repro.service.service import QueryService
+from repro.service.scatter import ShardedService
+from repro.store import Collection
 from repro.workloads import XMARK_QUERIES, XMarkConfig, generate_xmark
 from repro.workloads.queries import COLLECTION_QUERIES
 
@@ -160,21 +161,23 @@ class _Outcomes:
 
 
 def _single_target(config: ChaosConfig):
-    """The classic storm target: one QueryService over one document."""
-    store = DocumentStore()
-    store.load_tree(generate_xmark(XMarkConfig(factor=config.factor)))
+    """The classic storm target: one XMark document on one shard."""
+    collection = Collection(1)
+    collection.load_tree(generate_xmark(XMarkConfig(factor=config.factor)))
     texts = {name: XMARK_QUERIES[name].text for name in config.query_mix}
 
     # the uncached oracle: a bare processor on the reference
     # interpreter, computed before any fault is ever injected
-    oracle_processor = XQueryProcessor(store=store, default_doc="auction.xml")
+    oracle_processor = XQueryProcessor(
+        store=collection.combined_store(), default_doc="auction.xml"
+    )
     oracle = {
         name: oracle_processor.execute(text, engine="interpreter")
         for name, text in texts.items()
     }
 
-    service = QueryService(
-        store=store,
+    service = ShardedService(
+        collection,
         default_doc="auction.xml",
         workers=config.threads,
         deadline_s=config.deadline_s,
@@ -191,8 +194,6 @@ def _sharded_target(config: ChaosConfig):
     """Sharded-mode storm target: a ShardedService over a multi-
     document corpus, queried through scatter-safe ``collection()``
     shapes so faults strike mid-fan-out."""
-    from repro.service.scatter import ShardedService
-    from repro.store import Collection
     from repro.workloads.corpus import CorpusConfig, xmark_corpus
 
     collection = Collection(config.shards)

@@ -1,7 +1,6 @@
 """Query flight recorder: one structured record per served query.
 
-The serving layer (:class:`repro.service.QueryService`,
-:class:`repro.service.ShardedService`) records one
+The serving layer (:class:`repro.service.ShardedService`) records one
 :class:`FlightRecord` per query at the serving boundary into a
 bounded ring buffer — query-text hash, engine, cache outcome, scatter
 decision, retries/degrades/breaker state, per-phase nanoseconds, row

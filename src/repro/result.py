@@ -1,8 +1,8 @@
 """Typed query results.
 
 :class:`Result` is what ``execute()`` returns across the whole stack —
-:class:`repro.pipeline.XQueryProcessor`, :class:`repro.service.QueryService`,
-the sharded scatter-gather service, and the :class:`repro.api.Session`
+:class:`repro.pipeline.XQueryProcessor`, the serving class
+:class:`repro.service.ShardedService` and the :class:`repro.api.Session`
 facade all produce the same shape: the item sequence plus execution
 metadata (engine, per-phase timings, shard fan-out width) and an
 attached serializer.

@@ -4,8 +4,9 @@ The paper isolates the join graph so that one compiled SQL block can
 let the RDBMS do the heavy lifting; this package adds the serving
 economics on top — a compiled-plan LRU (:class:`CompiledQueryCache`),
 a thread-safe shared-cache SQLite connection pool
-(:class:`BackendPool`), the :class:`QueryService` facade with
-batch/concurrent execution, and the asyncio multi-tenant
+(:class:`BackendPool`), the one serving class :class:`ShardedService`
+(one shard or many, with batch/concurrent execution), and the asyncio
+multi-tenant
 :class:`FrontDoor` (per-tenant quotas, weighted-fair admission, and
 batches drained whenever an execution slot frees, with identical
 canonical plans coalesced into one execution).  See
@@ -21,18 +22,15 @@ from repro.service.cache import (
 from repro.service.frontdoor import FrontDoor
 from repro.service.pool import BackendPool
 from repro.service.resilience import (
-    AdmissionGate,
     CircuitBreaker,
     Deadline,
     RetryPolicy,
 )
 from repro.service.scatter import ShardedService
-from repro.service.service import QueryService
 from repro.service.tenancy import TenantSpec, TokenBucket, WeightedFairQueue
 from repro.service.views import MaterializedView, ViewManager
 
 __all__ = [
-    "AdmissionGate",
     "BackendPool",
     "CacheKey",
     "CacheStats",
@@ -41,7 +39,6 @@ __all__ = [
     "Deadline",
     "FrontDoor",
     "MaterializedView",
-    "QueryService",
     "RetryPolicy",
     "ShardedService",
     "TenantSpec",

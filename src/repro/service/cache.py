@@ -65,8 +65,7 @@ class CacheStats:
     One snapshot across all three cache tiers — ``exact`` (lexically
     normalized text), ``canonical`` (tree-pattern alias), ``view``
     (materialized-view rewrites, :mod:`repro.service.views`) — as
-    returned by ``QueryService.cache_stats()`` /
-    ``ShardedService.cache_stats()``.  ``misses`` on the canonical and
+    returned by ``ShardedService.cache_stats()``.  ``misses`` on the canonical and
     view tiers count lookups that *fell through* that tier; ``bytes``
     is only tracked for the view tier (compiled plans are not sized).
     :meth:`to_dict` is what ``stats()["cache"]`` serves.
@@ -178,7 +177,7 @@ class CompiledQueryCache:
         """Drop entries; returns how many were removed.
 
         With a ``store_version``, only entries compiled against *other*
-        versions are dropped (what :meth:`QueryService.load` calls:
+        versions are dropped (what :meth:`ShardedService.load` calls:
         current-version entries stay hot).  Without one, the cache is
         cleared entirely.
         """

@@ -1,11 +1,10 @@
-"""The serving core both service shells are built from.
+"""The serving core of :class:`~repro.service.ShardedService`.
 
-:class:`~repro.service.QueryService` (one store, pooled connections)
-and :class:`~repro.service.ShardedService` (a collection, scatter-
-gather) differ in *where a compiled plan executes*.  Everything around
-that execution is defined here, once: the :class:`CacheLadder`, the
-:func:`resilient_call` loop with its :class:`FaultLedger`, the
-:class:`ServingBoundary` and the :class:`MetricsBridge`.
+Everything around the execution of a compiled plan is defined here,
+once: the :class:`CacheLadder`, the :func:`resilient_call` loop with
+its :class:`FaultLedger`, the :class:`ServingBoundary` and the
+:class:`MetricsBridge`.  Where a plan executes — a store's pooled
+connections or a worker process — is the executor's concern.
 ``docs/serving.md`` ("The serving core") says which decision lives
 where and what stays different per executor.
 """
@@ -132,7 +131,7 @@ class CacheLadder:
     residual_filter:
         The view tier's membership oracle over the owner's rank space.
     collection:
-        The extra key field (``None`` for single-store services).
+        The extra key field: the shard layout plans were compiled for.
     views, view_budget_bytes, view_admit_after:
         The view tier; forced off under ``serialize_step`` (items are
         no longer pre ranks).
@@ -145,7 +144,7 @@ class CacheLadder:
         residual_filter: ResidualFilter,
         *,
         capacity: int,
-        collection: str | None = None,
+        collection: str,
         views: bool = True,
         view_budget_bytes: int = 4 << 20,
         view_admit_after: int = 3,
@@ -413,19 +412,14 @@ def resilient_call(
 class ServingBoundary:
     """One served query, from budget to flight record.
 
-    The owning shell supplies how a compiled plan executes (``run``,
+    The serving class supplies how a compiled plan executes (``run``,
     per call) and four facts about itself: its ``shards``, its
     ``serializer``, an ``explain(compiled, engine)`` callback for slow
     captures and a ``breaker_state()`` callback.  A boundary with a
     recorder owns a fresh flight context and writes exactly one record
-    per query; one without (``flight=False``: a shard inside a sharded
-    service) annotates the caller's context instead.
+    per query; one without (``flight=False``) annotates the caller's
+    context, if any.
     """
-
-    #: cleared by a service that owns this one as a component (a shard,
-    #: the serial fallback): such executions annotate the owner's query
-    #: and are not served queries of their own
-    outermost = True
 
     def __init__(
         self,
@@ -475,7 +469,6 @@ class ServingBoundary:
         qspan = get_tracer().span(
             "service.query", engine=engine.value, shards=self.shards
         )
-        outermost = self.outermost
         with flight_capture(own=recorder is not None) as flight:
 
             def record(error: ServiceError | None) -> None:
@@ -548,18 +541,16 @@ class ServingBoundary:
                         # every path
                         deadline.check()
             except ServiceError as error:
-                if outermost:
-                    metrics.count("service.queries.failed")
-                    metrics.count(f"service.errors.{type(error).__name__}")
+                metrics.count("service.queries.failed")
+                metrics.count(f"service.errors.{type(error).__name__}")
                 record(error)
                 raise
             if compiled is not None and isinstance(query, str):
                 self.ladder.observe(compiled, items)
             elapsed = time.perf_counter_ns() - start
-            if outermost:
-                metrics.count("service.queries")
-                metrics.count(f"service.queries.{engine.value}")
-                metrics.observe("service.query_ns", elapsed)
+            metrics.count("service.queries")
+            metrics.count(f"service.queries.{engine.value}")
+            metrics.observe("service.query_ns", elapsed)
             record(None)
             return Result(
                 items,

@@ -1,10 +1,9 @@
 """The asyncio multi-tenant front door over the serving stack.
 
 :class:`FrontDoor` is the admission boundary a production deployment
-puts in front of a :class:`~repro.service.ShardedService` (or a
-single-backend :class:`~repro.service.QueryService`).  It layers three
-things on the PR 4 resilience primitives and the PR 8 process
-executor, in admission order:
+puts in front of a :class:`~repro.service.ShardedService` (one shard or
+many).  It layers three things on the PR 4 resilience primitives and
+the PR 8 process executor, in admission order:
 
 1. **Per-tenant quotas** — every tenant (:class:`~repro.service.
    tenancy.TenantSpec`) owns a token bucket; an exhausted bucket
@@ -74,7 +73,6 @@ from repro.pipeline import CompiledQuery
 from repro.result import Result
 from repro.service.core import MetricsBridge
 from repro.service.scatter import ShardedService, scatter_uris
-from repro.service.service import QueryService
 from repro.service.tenancy import TenantSpec, TokenBucket, WeightedFairQueue
 
 __all__ = ["FrontDoor", "TenantSpec"]
@@ -247,9 +245,8 @@ class FrontDoor:
     Parameters
     ----------
     service:
-        The backend — a :class:`ShardedService` or
-        :class:`QueryService`.  The front door does not own it; close
-        it separately.
+        The backend :class:`ShardedService`.  The front door does not
+        own it; close it separately.
     tenants:
         The tenant contracts.  Submissions for unknown tenants raise
         ``ValueError`` (misconfiguration, not backpressure).
@@ -269,7 +266,7 @@ class FrontDoor:
 
     def __init__(
         self,
-        service: ShardedService | QueryService,
+        service: ShardedService,
         tenants: Sequence[TenantSpec],
         *,
         max_concurrent_batches: int = 4,
@@ -299,10 +296,7 @@ class FrontDoor:
             )
         self._working_set: _WorkingSet | None = None
         if working_set_bytes is not None:
-            if not (
-                isinstance(service, ShardedService)
-                and service.executor == "process"
-            ):
+            if service.executor != "process":
                 raise ValueError(
                     "working_set_bytes requires a ShardedService with "
                     "executor='process' (the payload cache is the "
@@ -573,9 +567,7 @@ class FrontDoor:
                 local.count(f"service.tenant.{tenant}.faults.{name}", value)
 
     def _touched_shards(self, compiled: CompiledQuery) -> set[int]:
-        if self._working_set is None or not isinstance(
-            self.service, ShardedService
-        ):
+        if self._working_set is None:
             return set()
         uris = scatter_uris(compiled.core)
         if uris is None:

@@ -3,8 +3,8 @@
 The serving bet of the paper — hand the heavy lifting to an
 off-the-shelf RDBMS — only holds in production if the service stays
 *correct and available* when that RDBMS misbehaves mid-flight.  This
-module is the toolbox the hardened :class:`repro.service.QueryService`
-is built from:
+module is the toolbox the hardened serving stack
+(:class:`repro.service.ShardedService`) is built from:
 
 :class:`Deadline`
     A monotonic per-query time budget.  The active deadline is kept in
@@ -21,10 +21,6 @@ is built from:
 :class:`CircuitBreaker`
     Classic closed → open → half-open breaker over consecutive backend
     failures, with ``service.breaker.*`` metrics.
-:class:`AdmissionGate`
-    A fast-fail cap on concurrently admitted queries
-    (:class:`repro.errors.ServiceOverloaded` instead of an unbounded
-    queue).
 
 Error classification (:func:`is_transient`, :func:`is_connection_death`)
 decides which ``sqlite3`` failures are worth retrying.  Semantics and
@@ -44,13 +40,11 @@ from repro.errors import (
     CircuitOpenError,
     DeadlineExceeded,
     PoolRetiredError,
-    ServiceOverloaded,
     WorkerCrash,
 )
 from repro.obs import get_metrics
 
 __all__ = [
-    "AdmissionGate",
     "CircuitBreaker",
     "Deadline",
     "RetryPolicy",
@@ -407,53 +401,3 @@ class CircuitBreaker:
                 f"{self._failures} consecutive backend failures"
             )
 
-
-# -- admission control ----------------------------------------------------
-
-
-class AdmissionGate:
-    """A fast-fail cap on concurrently admitted queries.
-
-    ``capacity=None`` disables the gate entirely (every admission
-    succeeds and only the in-flight gauge is maintained).  Rejections
-    are instantaneous — the point is to shed load *before* work or
-    queue memory is spent on a query that would only time out.
-    """
-
-    def __init__(self, capacity: int | None = None):
-        if capacity is not None and capacity <= 0:
-            raise ValueError("admission capacity must be positive")
-        self.capacity = capacity
-        self._lock = threading.Lock()
-        self._inflight = 0
-
-    @property
-    def inflight(self) -> int:
-        with self._lock:
-            return self._inflight
-
-    def enter(self) -> None:
-        metrics = get_metrics()
-        with self._lock:
-            if self.capacity is not None and self._inflight >= self.capacity:
-                metrics.count("service.admission.rejected")
-                raise ServiceOverloaded(
-                    f"service at capacity ({self.capacity} queries in flight)"
-                )
-            self._inflight += 1
-            metrics.gauge("service.admission.inflight", self._inflight)
-
-    def exit(self) -> None:
-        with self._lock:
-            self._inflight -= 1
-            if self._inflight < 0:  # pragma: no cover - defensive
-                self._inflight = 0
-            get_metrics().gauge("service.admission.inflight", self._inflight)
-
-    @contextmanager
-    def slot(self) -> Iterator[None]:
-        self.enter()
-        try:
-            yield
-        finally:
-            self.exit()

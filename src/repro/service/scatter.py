@@ -35,15 +35,16 @@ across two sources, FLWOR-ordered results, boolean results, the
 the lazily materialized combined store, so differential agreement with
 a single-backend processor holds universally.
 
-This class is the collection shell around the shared serving core
-(:mod:`repro.service.core`): the cache ladder, the serving boundary
-and the resilient call are the ones :class:`QueryService` uses.  Each
-shard runs under its own :class:`QueryService` (deadline spans the
-fan-out via remaining budget, retries/breaker/degrade apply per shard)
-or, with ``executor="process"``, on a worker process under the same
-resilient call; when a shard still fails with degradation enabled the
-whole query falls back to the serial path — partial results are never
-returned.
+This class is the one serving class (``repro.connect()`` builds it for
+every shard count): the cache ladder, the serving boundary and the
+resilient call come from the serving core (:mod:`repro.service.core`),
+and each shard plan runs on that shard's
+:class:`~repro.service.service.StoreExecutor` (the query's one
+deadline spans the fan-out; retries, breaker and degradation apply per
+store) or, with ``executor="process"``, on a worker process under the
+same resilient call.  When a shard still fails with degradation
+enabled the whole query falls back to the serial path — partial
+results are never returned.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ import heapq
 import os
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import fields, is_dataclass
 from functools import partial
 from typing import Any, Callable, Iterable, Sequence
@@ -61,7 +62,7 @@ from repro.analysis.containment import (
     TreePattern,
     canonicalize,
     extract_pattern,
-    pattern_selects,
+    filter_pattern,
 )
 from repro.engines import Engine
 from repro.errors import ServiceError
@@ -79,8 +80,8 @@ from repro.service.core import (
     resilient_call,
 )
 from repro.service.procpool import ProcessShardExecutor, ShippedPlan
-from repro.service.resilience import Deadline, RetryPolicy
-from repro.service.service import QueryService
+from repro.service.resilience import CircuitBreaker, Deadline, RetryPolicy
+from repro.service.service import StoreExecutor
 from repro.store import Collection
 from repro.xquery.core import (
     CoreCollection,
@@ -91,6 +92,7 @@ from repro.xquery.core import (
     CoreLet,
     CoreVar,
 )
+from repro.xquery.normalize import CollectionResolver
 
 __all__ = ["ShardedService", "scatter_uris"]
 
@@ -216,47 +218,78 @@ def _structural_scatter_uris(core: CoreExpr) -> tuple[str, ...] | None:
 
 
 class ShardedService:
-    """Scatter-gather query service over a sharded collection.
+    """The serving class: one collection, one shard or many.
+
+    :func:`repro.connect` builds one for every shard count — a
+    ``Collection(1)`` is the single-store case.  This class holds the
+    serving core once (cache ladder, serving boundary, flight recorder,
+    fault ledger, worker pool) and runs compiled plans on per-store
+    :class:`~repro.service.service.StoreExecutor` objects: one per
+    shard, plus the serial executor over the combined store (on one
+    shard the combined store *is* the shard's store, so the serial
+    executor is the shard executor).
 
     Parameters
     ----------
     collection:
-        The :class:`repro.store.Collection` to serve.
+        The :class:`repro.store.Collection` to serve; default a fresh
+        one with ``shards`` partitions (1 when omitted).
     default_doc, serialize_step, disabled_rules, checked:
-        Front-end configuration, as on :class:`XQueryProcessor`.  Note
+        Front-end configuration, as on :class:`XQueryProcessor`; every
+        store executor compiles with the same settings.  Note
         ``serialize_step`` forces serial execution (its result shape
         is not merge-safe across shards).
-    workers_per_shard:
-        Worker threads per shard service; the scatter fan-out runs one
-        in-flight plan per shard, so 1 is the natural width.
-    parallel_fanout:
-        ``True`` dispatches shard plans onto parent-side dispatch
-        threads concurrently; ``False`` runs them sequentially in the
-        calling thread (still through each shard's full resilience
-        stack).  The default ``None`` picks by ``os.cpu_count()``: on a
-        single-core host thread fan-out is pure scheduling overhead —
-        the per-shard cost reduction (smaller tables, shorter membership
-        predicates) is what sharding buys, and it survives serial
-        dispatch intact.
+    workers:
+        Thread-pool width for :meth:`submit` / :meth:`run_many`
+        (:meth:`execute` runs on the caller's thread and is safe to
+        call from many; :func:`repro.connect` passes 4).  Each shard's
+        dispatch width — parallel fan-out threads, and worker processes
+        with ``executor="process"`` — is ``max(1, workers // shards)``.
     executor:
         ``"thread"`` (default) runs each shard plan on the shard's
-        in-process :class:`QueryService`; ``"process"`` dispatches to a
-        :class:`~repro.service.procpool.ProcessShardExecutor` — one
-        long-lived worker *process* per shard (``workers_per_shard``
-        each) holding its own SQLite connection over a zero-copy
-        attach of the shard image, executing pre-lowered shipped SQL
-        on an independent interpreter.  Threads stay the right choice
-        for single-shard stores and tiny corpora where the serialize/
-        spawn cost outweighs the GIL win; see
-        ``docs/performance.md``.
-    cache_capacity, cached_statements, indexes:
-        As on :class:`QueryService`; apply to every shard.
+        in-process pooled connections; ``"process"`` dispatches to a
+        :class:`~repro.service.procpool.ProcessShardExecutor` — long-
+        lived worker *processes* per shard, each holding its own SQLite
+        connection over a zero-copy attach of the shard image and
+        executing pre-lowered shipped SQL on an independent
+        interpreter.  Threads stay the right choice for single-shard
+        stores and tiny corpora where the serialize/spawn cost
+        outweighs the GIL win; see ``docs/performance.md``.
+    cache_capacity:
+        Compiled-plan LRU size (collection-level plans and their shard
+        variants).
+    cached_statements:
+        Per-connection prepared-statement cache size of every backend
+        pool.
+    indexes:
+        Index set for the SQL backends (``None`` = the paper's Table 6).
     deadline_s, retry, breaker_threshold, breaker_reset_s, degrade:
-        Resilience configuration.  The deadline spans the whole
-        fan-out: each shard receives the *remaining* budget, and the
-        merge re-checks before returning.  With ``degrade`` enabled a
-        shard-level failure falls back to full serial execution; with
-        it disabled the typed shard error surfaces.
+        Resilience configuration.  ``deadline_s`` is the default
+        per-query budget (positive, or ``None`` for none; overridable
+        per call) and spans the whole fan-out: every shard runs under
+        the query's one deadline, and the merge re-checks before
+        returning.  ``retry`` (default: 2 retries, 5 ms exponential
+        backoff) and the circuit breaker (trip after
+        ``breaker_threshold`` consecutive failures, probe again after
+        ``breaker_reset_s`` seconds) apply per store.  With
+        ``degrade`` a store that cannot answer falls back to a fresh
+        uncached compile on a fresh backend, and a failed shard of a
+        scatter to whole-query serial execution; without it the typed
+        error surfaces.  Never a stale or partial result either way.
+    flight, flight_recorder, slow_threshold_s:
+        The query flight recorder (:mod:`repro.obs.flight`) — on by
+        default, one :class:`FlightRecord` per query, with a slow-query
+        log promoting queries over ``slow_threshold_s`` seconds (and
+        every degraded/surfaced one) to a full capture.  Pass
+        ``flight=False`` to disable, or ``flight_recorder=`` to share
+        one.
+    views, view_budget_bytes, view_admit_after:
+        The materialized-view tier (:mod:`repro.service.views`, see
+        ``docs/caching.md``): queries hot for ``view_admit_after``
+        executions get their result rows materialized (LRU within
+        ``view_budget_bytes``), and later queries whose pattern is
+        strictly contained in a view's are answered by re-filtering
+        the view's rows.  Forced off under ``serialize_step``.
     """
 
     def __init__(
@@ -267,7 +300,7 @@ class ShardedService:
         disabled_rules: set[str] | None = None,
         *,
         shards: int | None = None,
-        workers_per_shard: int = 1,
+        workers: int = 1,
         cache_capacity: int = 256,
         cached_statements: int = 512,
         indexes: dict[str, tuple[str, ...]] | None = None,
@@ -277,7 +310,6 @@ class ShardedService:
         breaker_threshold: int = 8,
         breaker_reset_s: float = 0.25,
         degrade: bool = True,
-        parallel_fanout: bool | None = None,
         executor: str = "thread",
         flight: bool = True,
         flight_recorder: FlightRecorder | None = None,
@@ -286,6 +318,8 @@ class ShardedService:
         view_budget_bytes: int = 4 << 20,
         view_admit_after: int = 3,
     ):
+        if workers <= 0:
+            raise ValueError("workers must be positive")
         if executor not in ("thread", "process"):
             raise ValueError(
                 f"executor must be 'thread' or 'process', got {executor!r}"
@@ -298,21 +332,24 @@ class ShardedService:
                 f"{collection.shards} shards"
             )
         self.collection = collection
+        self.workers = workers
         self.serialize_step = serialize_step
         self.deadline_s = deadline_s
+        self.retry = retry if retry is not None else RetryPolicy()
         self.degrade_enabled = degrade
         self.executor = executor
-        if parallel_fanout is None:
-            # process workers sidestep the GIL, so concurrent dispatch
-            # pays off whenever the host has cores to run them on;
-            # thread fan-out on a single core is pure scheduling cost
-            parallel_fanout = (os.cpu_count() or 1) > 1
-        self.parallel_fanout = parallel_fanout
+        # process workers sidestep the GIL, so concurrent dispatch pays
+        # off whenever the host has cores to run them on; thread
+        # fan-out on a single core is pure scheduling cost — the
+        # per-shard cost reduction (smaller tables, shorter membership
+        # predicates) survives sequential dispatch intact
+        self.parallel_fanout = (os.cpu_count() or 1) > 1
+        self._dispatch_width = max(1, workers // collection.shards)
         # the compile-side processor: bound to an empty store (compiled
         # SQL never executes against it), resolving collection() globs
         # against the *whole* collection so plans name every member
         # regardless of shard placement
-        self._compiler = XQueryProcessor(
+        self.processor = XQueryProcessor(
             store=DocumentStore(),
             default_doc=default_doc,
             serialize_step=serialize_step,
@@ -321,11 +358,10 @@ class ShardedService:
             collections=collection.resolve,
         )
         # the view tier answers in *global* ranks at this boundary, and
-        # exactly one flight record is written per query here: the
-        # shard services and the serial fallback run with views and
-        # recording off and annotate this service's per-query context
+        # exactly one flight record is written per query here; the
+        # store executors annotate the query's flight context
         self._ladder = CacheLadder(
-            self._compiler,
+            self.processor,
             collection,
             self._view_filter,
             capacity=cache_capacity,
@@ -347,47 +383,46 @@ class ShardedService:
             breaker_state=self._breaker_state,
         )
         self.flight = self._boundary.recorder
+        # the parent owns every retry/degrade/surface decision, also
+        # for worker-raised faults: one ledger for every executor
         self._ledger = FaultLedger()
-        self._service_config = dict(
-            default_doc=default_doc,
-            serialize_step=serialize_step,
-            disabled_rules=disabled_rules,
-            workers=workers_per_shard,
-            cache_capacity=cache_capacity,
-            cached_statements=cached_statements,
-            indexes=indexes,
-            checked=checked,
-            deadline_s=None,  # the sharded service owns the deadline
-            retry=retry,
-            breaker_threshold=breaker_threshold,
-            breaker_reset_s=breaker_reset_s,
-            degrade=degrade,
-            flight=False,
-            views=False,
-        )
-        self._shard_services: list[QueryService] = [
-            self._component(store) for store in collection.stores
-        ]
-        # per-shard plan specializers, built lazily: same front-end
-        # configuration, but collection() resolves to only the member
-        # URIs the shard hosts (see _shard_compiled)
-        self._shard_compilers: list[XQueryProcessor | None] = [
-            None for _ in collection.stores
-        ]
-        self._serial_service: QueryService | None = None
-        self._serial_lock = threading.Lock()
-        # fan-out and process-executor state (lazy: a sequential
-        # thread-mode service never pays for it).  The parent owns
-        # every retry/degrade/surface decision for worker-raised
-        # faults, so their ledger lives here, not in the workers.
-        self._workers_per_shard = workers_per_shard
         self._indexes = indexes
-        self._retry = retry if retry is not None else RetryPolicy()
+        self._cached_statements = cached_statements
+        self._breaker_config = (breaker_threshold, breaker_reset_s)
+        self._executors = [
+            self._store_executor(store, self._shard_resolver(shard))
+            for shard, store in enumerate(collection.stores)
+        ]
+        # the serial executor over the combined store, built lazily
+        # (materializing the combined table) on first use — except on
+        # one shard, where the combined store is the shard's store and
+        # local and global ranks coincide: one pool, one SQLite image
+        self._serial_executor: StoreExecutor | None = (
+            self._executors[0] if collection.shards == 1 else None
+        )
+        self._serial_lock = threading.Lock()
+        # fan-out, worker-pool and process-executor state, all lazy
         self._procpool: ProcessShardExecutor | None = None
         self._procpool_lock = threading.Lock()
         self._dispatch: dict[int, ThreadPoolExecutor] = {}
+        self._worker_pool: ThreadPoolExecutor | None = None
         self._merge_lock = threading.Lock()
         self._closed = False
+
+    def _store_executor(
+        self, store: DocumentStore, collections: CollectionResolver
+    ) -> StoreExecutor:
+        return StoreExecutor(
+            store,
+            front=self.processor,
+            collections=collections,
+            ledger=self._ledger,
+            indexes=self._indexes,
+            cached_statements=self._cached_statements,
+            retry=self.retry,
+            breaker=CircuitBreaker(*self._breaker_config),
+            degrade=self.degrade_enabled,
+        )
 
     # -- documents -----------------------------------------------------
 
@@ -402,36 +437,30 @@ class ShardedService:
 
     @property
     def default_doc(self) -> str | None:
-        return self._compiler.default_doc
+        return self.processor.default_doc
+
+    @property
+    def store(self) -> DocumentStore:
+        """The combined store — every document in global order (the
+        shard's own store on one shard; materialized on first access
+        otherwise)."""
+        return self.collection.combined_store()
 
     def load(self, xml_text: str, uri: str, shard: int | None = None) -> None:
-        """Load a document into its shard and invalidate compiled
-        plans (``shard`` overrides hash placement, as on
-        :meth:`Collection.load`).  Shard backends/caches
-        self-invalidate off their store versions; the collection-level
-        plan cache is versioned on the collection."""
-        entry = self.collection.load(xml_text, uri, shard=shard)
-        if self._compiler.default_doc is None:
-            self._compiler.default_doc = uri
-            self._service_config["default_doc"] = uri
-            for service in self._shard_services:
-                service.processor.default_doc = uri
-            with self._serial_lock:
-                if self._serial_service is not None:
-                    self._serial_service.processor.default_doc = uri
-        # a graft shifts global rank offsets and changes results:
-        # every plan and materialized view is stale
+        """Load a document into its shard and invalidate (``shard``
+        overrides hash placement, as on :meth:`Collection.load`).  A
+        graft shifts global rank offsets and changes results, so every
+        plan, shard variant and materialized view is stale; each store
+        executor retires its backend pool off its store's version at
+        the next lease (in-flight queries drain against the old
+        snapshot)."""
+        self.collection.load(xml_text, uri, shard=shard)
+        if self.processor.default_doc is None:
+            self.processor.default_doc = uri
         self._ladder.invalidate()
-        # the shard that received the document must drop its pool;
-        # QueryService.load would do this, but the collection already
-        # loaded the row — retire explicitly instead
-        self._shard_services[entry.shard].cache.invalidate(
-            store_version=self.collection.stores[entry.shard].version
-        )
         if self.flight is not None:
-            # the collection graft invalidated every compiled plan;
-            # latency percentiles from the pre-graft corpus would be
-            # stale too — roll the flight-recorder epoch
+            # latency percentiles must describe the corpus now being
+            # served, not the pre-load one (FlightRecorder.mark_epoch)
             self.flight.mark_epoch()
 
     # -- compilation ---------------------------------------------------
@@ -439,18 +468,23 @@ class ShardedService:
     def _view_filter(
         self, pattern: TreePattern, rows: Sequence[int]
     ) -> list[int]:
-        """Residual filter for the view tier over *global* ranks: each
-        candidate is routed to the shard hosting it and tested against
-        that shard's table with the containment membership oracle.
-        Per-shard monotonic translation keeps the filtered sequence in
-        global document order."""
-        out: list[int] = []
+        """Residual filter for the view tier over *global* ranks: the
+        candidates are routed to the shards hosting them and filtered
+        against each shard's table with the containment membership
+        oracle.  Per-shard monotonic translation and a merge keep the
+        filtered sequence in global document order."""
+        collection = self.collection
+        local: dict[int, list[int]] = {}
         for rank in rows:
-            shard, pre = self.collection.to_local(rank)
-            table = self.collection.stores[shard].table
-            if pattern_selects(pattern, table, pre):
-                out.append(rank)
-        return out
+            shard, pre = collection.to_local(rank)
+            local.setdefault(shard, []).append(pre)
+        kept = [
+            collection.to_global(
+                shard, filter_pattern(pattern, collection.stores[shard].table, pres)
+            )
+            for shard, pres in local.items()
+        ]
+        return list(heapq.merge(*kept))
 
     def compile(self, query: str) -> CompiledQuery:
         """The compiled artifact for ``query``, resolved against the
@@ -459,7 +493,7 @@ class ShardedService:
         answers on the execution path)."""
         return self._ladder.compile(query)
 
-    def _shard_resolver(self, shard: int):
+    def _shard_resolver(self, shard: int) -> CollectionResolver:
         def resolve(patterns: tuple[str, ...]) -> tuple[str, ...]:
             return tuple(
                 uri
@@ -469,48 +503,45 @@ class ShardedService:
 
         return resolve
 
-    def _shard_key(self, compiled: CompiledQuery, shard: int) -> CacheKey:
-        return self._ladder.key(compiled.source)._replace(
-            collection=f"shards:{self.collection.shards}:{shard}"
+    def _variant(
+        self, compiled: CompiledQuery, scope: str, executor: StoreExecutor
+    ) -> tuple[CompiledQuery, CacheKey]:
+        """The plan of ``compiled`` re-resolved on ``executor``'s store
+        (``scope`` names it in the cache key), and its key.  Variants
+        are cached like any compiled plan and compile single-flight on
+        the executor's own processor."""
+        key = self._ladder.key(compiled.source)._replace(
+            collection=f"shards:{self.collection.shards}:{scope}"
         )
-
-    def _shard_compiled(
-        self, compiled: CompiledQuery, shard: int
-    ) -> CompiledQuery:
-        """The shard-specialized variant of a compiled plan.
-
-        The collection-wide plan names *every* member URI in its
-        membership predicate; re-resolving against only the URIs this
-        shard hosts yields provably identical rows on the shard
-        (foreign URIs match nothing there) but keeps the membership
-        list short — on a long list, SQLite flips to driving the join
-        from the DOC rows and walks whole document subtrees by rowid
-        range, turning indexed point-lookups into per-shard table
-        scans.  Variants are cached like any compiled plan.
-        """
-        key = self._shard_key(compiled, shard)
         variant = self.cache.get(key)
-        if variant is not None:
-            return variant
-        with self._ladder.lock:
-            variant = self.cache.peek(key)
-            if variant is not None:
-                return variant
-            compiler = self._shard_compilers[shard]
-            if compiler is None:
-                compiler = XQueryProcessor(
-                    store=DocumentStore(),
-                    default_doc=self._compiler.default_doc,
-                    serialize_step=self._compiler.serialize_step,
-                    disabled_rules=set(self._compiler.disabled_rules),
-                    collections=self._shard_resolver(shard),
-                )
-                self._shard_compilers[shard] = compiler
-            compiler.default_doc = self._compiler.default_doc
-            variant = compiler.compile(compiled.source)
-            _ = (variant.stacked_sql, variant.joingraph_sql)
-            self.cache.put(key, variant)
-        return variant
+        if variant is None:
+            with executor.lock:
+                variant = self.cache.peek(key)
+                if variant is None:
+                    variant = executor.compile(compiled.source)
+                    self.cache.put(key, variant)
+        return variant, key
+
+    def _shard_plan(
+        self, compiled: CompiledQuery, shards: Sequence[int], shard: int
+    ) -> tuple[CompiledQuery, CacheKey]:
+        """The plan ``shard`` runs, and its key.
+
+        A routed query (one hosting shard) runs the collection-level
+        plan as compiled: that shard hosts every URI the plan names,
+        so re-resolving against it gives the same plan.  A scatter
+        runs shard-specialized variants: the collection-wide plan names
+        *every* member URI in its membership predicate, and re-resolving
+        against only the URIs a shard hosts yields provably identical
+        rows on the shard (foreign URIs match nothing there) but keeps
+        the membership list short — on a long list, SQLite flips to
+        driving the join from the DOC rows and walks whole document
+        subtrees by rowid range, turning indexed point-lookups into
+        per-shard table scans.
+        """
+        if len(shards) == 1:
+            return compiled, self._ladder.key(compiled.source)
+        return self._variant(compiled, str(shard), self._executors[shard])
 
     # -- execution -----------------------------------------------------
 
@@ -521,22 +552,27 @@ class ShardedService:
         *,
         deadline_s: float | None = None,
     ) -> Result:
-        """Evaluate a query; returns a :class:`repro.Result` whose
-        ``shards`` attribute records the fan-out width (1 for routed or
-        serial execution).
+        """Evaluate a query on the caller's thread; returns a
+        :class:`repro.Result` whose ``shards`` attribute records the
+        fan-out width (1 for routed or serial execution).
 
-        Scatter-safe SQL-engine queries fan out across the shards
-        hosting their documents; everything else (interpreter engines,
-        cross-document joins, FLWOR-ordered results) runs serially
-        against the combined store.  Either way the item sequence is
-        exactly what a single-backend serial processor would return.
-        In particular a ``doc()``/``collection()`` URI naming no
-        hosted document matches nothing — the query returns an empty
-        :class:`Result`, never an error (serial SQL parity); each such
-        URI is counted under ``service.scatter.unknown_uris``.
+        Scatter-safe SQL-engine queries run on the shards hosting their
+        documents; everything else (interpreter engines, cross-document
+        joins, FLWOR-ordered results) runs serially against the
+        combined store.  Either way the item sequence is exactly what a
+        single-backend serial processor would return.  In particular a
+        ``doc()``/``collection()`` URI naming no hosted document
+        matches nothing — the query returns an empty :class:`Result`,
+        never an error (serial SQL parity); each such URI is counted
+        under ``service.scatter.unknown_uris``.
+
+        ``deadline_s`` overrides the service default for this call; it
+        must be positive (``ValueError`` otherwise).  Raises a typed
+        :class:`repro.errors.ServiceError` subclass on deadline or
+        backend unavailability — never a partial, stale or late result.
         """
         if self._closed:
-            raise RuntimeError("sharded service is closed")
+            raise RuntimeError("query service is closed")
         budget = self.deadline_s if deadline_s is None else deadline_s
         return self._boundary.serve(query, engine, budget, self._run)
 
@@ -548,7 +584,8 @@ class ShardedService:
         flight: FlightContext | None,
     ) -> tuple[list[Any], int, dict[str, int]]:
         """Execute a compiled plan (the boundary's ``run``): classify,
-        then scatter across the hosting shards or run serially."""
+        then route or scatter across the hosting shards, or run
+        serially."""
         metrics = get_metrics()
         uris = None
         if engine in Engine.sql_engines() and not self.serialize_step:
@@ -557,12 +594,7 @@ class ShardedService:
             metrics.count("service.scatter.serial")
             if flight is not None:
                 flight.note_scatter("serial", 1)
-            items = self._serial().execute(
-                compiled.source,
-                engine,
-                deadline_s=_remaining(deadline),
-            )
-            return items, 1, {}
+            return self._run_serial(compiled, engine, deadline), 1, {}
 
         known = [uri for uri in uris if uri in self.collection]
         if len(known) != len(uris):
@@ -582,13 +614,29 @@ class ShardedService:
             flight.add_phase("merge", merge_ns)
         return merged, max(1, len(shards)), {"merge_ns": merge_ns}
 
+    def _run_serial(
+        self,
+        compiled: CompiledQuery,
+        engine: Engine,
+        deadline: Deadline | None,
+    ) -> list[Any]:
+        """Run on the serial executor.  SQL runs the compiled plan as
+        is — its text names URIs, not ranks, and runs unchanged on any
+        schema; the interpreters run a plan in-process against the
+        store it was compiled over, so they run a serial-store
+        variant."""
+        serial = self._serial()
+        if engine not in Engine.sql_engines():
+            compiled, _ = self._variant(compiled, "serial", serial)
+        return serial.run(compiled, engine, deadline)
+
     def _breaker_state(self) -> str:
-        """The worst breaker state across the shard services (open >
+        """The worst breaker state across the store executors (open >
         half-open > closed) — the serving boundary's health summary."""
-        states = {service._breaker.state for service in self._shard_services}
+        states = {executor.breaker.state for executor in self._executors}
         with self._serial_lock:
-            if self._serial_service is not None:
-                states.add(self._serial_service._breaker.state)
+            if self._serial_executor is not None:
+                states.add(self._serial_executor.breaker.state)
         for state in ("open", "half-open"):
             if state in states:
                 return state
@@ -598,10 +646,10 @@ class ShardedService:
         """EXPLAIN rows for a slow capture: any shard's schema explains
         the collection-wide SQL; prefer the serial store when built."""
         with self._serial_lock:
-            service = self._serial_service
-        if service is None:
-            service = self._shard_services[0]
-        return service._flight_explain(compiled, engine)
+            executor = self._serial_executor
+        if executor is None:
+            executor = self._executors[0]
+        return executor.explain(compiled, engine)
 
     def _scatter(
         self,
@@ -610,28 +658,27 @@ class ShardedService:
         shards: Sequence[int],
         deadline: Deadline | None,
     ) -> tuple[list[Any], int]:
-        """Fan one compiled plan out across ``shards``; returns the
-        merged global-rank sequence and the merge-phase nanoseconds."""
+        """Run one compiled plan on ``shards``; returns the merged
+        global-rank sequence and the merge-phase nanoseconds."""
         tracer = get_tracer()
         if not shards:
             return [], 0
         _remaining(deadline)  # a spent budget surfaces before any dispatch
-        # what runs one shard is chosen once, from the executor; how
-        # the shards are visited (routed, sequential, parallel) is not
-        # its concern
+        # the plans compile here, on this thread, not on a dispatch
+        # thread next to a SQLite connection; what runs one shard is
+        # chosen once, from the executor — how the shards are visited
+        # (routed, sequential, parallel) is not its concern
+        plans = {
+            shard: self._shard_plan(compiled, shards, shard) for shard in shards
+        }
         run: Callable[[int], list[int]]
         if self.executor == "process":
-            run = partial(self._process_execute, compiled, engine, deadline)
+            run = partial(self._process_execute, plans, engine, deadline)
         else:
-            # specialized on this thread: a cold variant compiles here,
-            # not on a dispatch thread next to its SQLite connection
-            variants = {
-                shard: self._shard_compiled(compiled, shard) for shard in shards
-            }
 
             def run(shard: int) -> list[int]:
-                return self._shard_services[shard].execute(
-                    variants[shard], engine, deadline_s=_remaining(deadline)
+                return self._executors[shard].run(
+                    plans[shard][0], engine, deadline
                 )
 
         with tracer.span(
@@ -681,12 +728,8 @@ class ShardedService:
                 if flight is not None:
                     flight.note_degraded()
                 with tracer.span("service.scatter.degrade"):
-                    items = self._serial().execute(
-                        compiled.source,
-                        engine,
-                        deadline_s=_remaining(deadline),
-                    )
-                return list(items), 0
+                    items = self._run_serial(compiled, engine, deadline)
+                return items, 0
             started = time.perf_counter_ns()
             merged = list(heapq.merge(*per_shard))
             merge_ns = time.perf_counter_ns() - started
@@ -701,10 +744,8 @@ class ShardedService:
             if self._procpool is None:
                 self._procpool = ProcessShardExecutor(
                     self.collection.shards,
-                    workers_per_shard=self._workers_per_shard,
-                    cached_statements=self._service_config[
-                        "cached_statements"
-                    ],
+                    workers_per_shard=self._dispatch_width,
+                    cached_statements=self._cached_statements,
                 )
             return self._procpool
 
@@ -716,38 +757,34 @@ class ShardedService:
             pool = self._dispatch.get(shard)
             if pool is None:
                 pool = self._dispatch[shard] = ThreadPoolExecutor(
-                    max_workers=self._workers_per_shard,
+                    max_workers=self._dispatch_width,
                     thread_name_prefix=f"repro-dispatch-{shard}",
                 )
             return pool
 
-    def _shipped_plan(
-        self, compiled: CompiledQuery, engine: Engine, shard: int
-    ) -> ShippedPlan:
-        """The shard-specialized plan in shippable form, keyed by the
-        same canonical cache key the compiled-plan cache uses — the
-        worker's plan cache and the parent's stay in lockstep."""
-        sql = self._shard_compiled(compiled, shard).sql_for(engine)
-        return ShippedPlan(
-            key=(self._shard_key(compiled, shard), engine.value),
-            sql_text=sql.text,
-            item_index=sql.select_aliases.index(sql.item_alias),
-        )
-
     def _process_execute(
         self,
-        compiled: CompiledQuery,
+        plans: dict[int, tuple[CompiledQuery, CacheKey]],
         engine: Engine,
         deadline: Deadline | None,
         shard: int,
     ) -> list[int]:
         """One shard execution on the process executor under the
-        parent-side resilient call.  No breaker: the worker owns
-        exactly one connection and a crash is already handled by
-        restart-and-retry.  No last resort here either: exhaustion
-        raises :class:`BackendUnavailable` and :meth:`_scatter` answers
-        it with the whole-query serial fallback."""
-        plan = self._shipped_plan(compiled, engine, shard)
+        parent-side resilient call.  The plan ships keyed by the same
+        cache key the compiled-plan cache uses, so the worker's plan
+        cache and the parent's stay in lockstep.  No breaker: the
+        worker owns exactly one connection and a crash is already
+        handled by restart-and-retry.  No last resort here either:
+        exhaustion raises :class:`BackendUnavailable` and
+        :meth:`_scatter` answers it with the whole-query serial
+        fallback."""
+        compiled, key = plans[shard]
+        sql = compiled.sql_for(engine)
+        plan = ShippedPlan(
+            key=(key, engine.value),
+            sql_text=sql.text,
+            item_index=sql.select_aliases.index(sql.item_alias),
+        )
         store = self.collection.stores[shard]
         executor = self._process_pool()
 
@@ -764,34 +801,23 @@ class ShardedService:
 
         return resilient_call(
             attempt,
-            retry=self._retry,
+            retry=self.retry,
             deadline=deadline,
             ledger=self._ledger,
             caller_degrades=self.degrade_enabled,
             what=f"shard {shard} worker",
         )
 
-    def _serial(self) -> QueryService:
-        """The serial fallback service over the combined store, built
-        lazily (materializing the combined table) on first use."""
+    def _serial(self) -> StoreExecutor:
+        """The serial executor over the combined store, built lazily
+        (materializing the combined table) on first use."""
         with self._serial_lock:
-            if self._serial_service is None:
+            if self._serial_executor is None:
                 get_metrics().count("service.scatter.serial_materializations")
-                self._serial_service = self._component(
-                    self.collection.combined_store()
+                self._serial_executor = self._store_executor(
+                    self.collection.combined_store(), self.collection.resolve
                 )
-            return self._serial_service
-
-    def _component(self, store: DocumentStore) -> QueryService:
-        """A service executing on this one's behalf (a shard, the
-        serial fallback): it annotates this service's per-query flight
-        context, adds ``service.scatter.*`` and posts to this service's
-        fault ledger (the injector it balances against is global); the
-        served query is counted and recorded once, here."""
-        service = QueryService(store=store, **self._service_config)
-        service._boundary.outermost = False
-        service._ledger = self._ledger
-        return service
+            return self._serial_executor
 
     # -- results -------------------------------------------------------
 
@@ -808,6 +834,31 @@ class ShardedService:
         result = self.execute(query, engine=engine)
         return Serialized(self.serialize(result), result)
 
+    # -- concurrent serving --------------------------------------------
+
+    def submit(
+        self,
+        query: str | CompiledQuery,
+        engine: Engine | str = Engine.JOINGRAPH_SQL,
+        *,
+        deadline_s: float | None = None,
+    ) -> "Future[Result]":
+        """Schedule one query on the ``workers``-wide pool; returns its
+        future.  The submitting thread's metrics scope and flight
+        context travel with it (:class:`MetricsBridge`)."""
+        with self._procpool_lock:
+            if self._closed:
+                raise RuntimeError("query service is closed")
+            if self._worker_pool is None:
+                self._worker_pool = ThreadPoolExecutor(
+                    max_workers=self.workers, thread_name_prefix="repro-query"
+                )
+            pool = self._worker_pool
+        return pool.submit(
+            MetricsBridge(self._merge_lock).run,
+            partial(self.execute, query, engine, deadline_s=deadline_s),
+        )
+
     def run_many(
         self,
         queries: Iterable[str | CompiledQuery],
@@ -815,37 +866,55 @@ class ShardedService:
         *,
         deadline_s: float | None = None,
     ) -> list[Result]:
-        """Execute a batch; each query fans out across the shards in
-        turn (the fan-out itself is the parallelism)."""
-        return [
-            self.execute(query, engine=engine, deadline_s=deadline_s)
-            for query in queries
-        ]
+        """Execute a batch concurrently; results in submission order.
+
+        Submission is all-or-nothing: when a mid-batch :meth:`submit`
+        fails, the already-submitted futures are cancelled — or drained
+        to completion if they are past cancelling — before the error
+        propagates, so no query from the batch keeps running
+        unobserved.
+        """
+        futures: list[Future[Result]] = []
+        try:
+            for query in queries:
+                futures.append(
+                    self.submit(query, engine=engine, deadline_s=deadline_s)
+                )
+        except BaseException:
+            for future in futures:
+                future.cancel()
+            for future in futures:
+                if not future.cancelled():
+                    future.exception()  # drain; the submit error wins
+            raise
+        return [future.result() for future in futures]
 
     # -- accounting / lifecycle ----------------------------------------
 
     @property
     def fault_accounting(self) -> dict[str, int]:
-        """Injected-fault dispositions across the worker processes,
-        every shard service and the serial fallback — the ledger side
-        of the ``injected == retried + degraded + surfaced`` invariant."""
+        """Injected-fault dispositions (``retry`` / ``degrade`` /
+        ``surface``) across every store executor and the worker
+        processes — the ledger side of the ``injected == retried +
+        degraded + surfaced`` invariant."""
         return self._ledger.snapshot()
 
     def cache_stats(self) -> CacheStats:
-        """The typed, tiered cache statistics for the collection-level
-        plan cache and view tier."""
+        """The typed, tiered cache statistics (exact / canonical /
+        view) — the stable API; ``stats()["cache"]`` serves its
+        :meth:`~repro.service.cache.CacheStats.to_dict` form."""
         return self._ladder.stats()
 
     def stats(self) -> dict[str, Any]:
         """A JSON-ready snapshot: collection placement, per-shard
-        service and planner-statistics summaries, plan-cache counters."""
+        executor and planner-statistics summaries, plan-cache counters,
+        resilience settings."""
         from repro.planner.stats import TableStatistics
 
         placement = self.collection.stats()
         per_shard = []
-        for shard, service in enumerate(self._shard_services):
-            table = self.collection.stores[shard].table
-            table_stats = TableStatistics.collect(table)
+        for shard, executor in enumerate(self._executors):
+            table_stats = TableStatistics.collect(executor.store.table)
             per_shard.append(
                 {
                     "shard": shard,
@@ -853,19 +922,26 @@ class ShardedService:
                     "rows": table_stats.row_count,
                     "distinct_names": len(table_stats.name_frequency),
                     "max_level": table_stats.max_level,
-                    "service": service.stats(),
+                    "service": executor.stats(),
                 }
             )
         with self._serial_lock:
-            serial = self._serial_service is not None
+            serial = self._serial_executor is not None
         with self._procpool_lock:
             procpool = self._procpool
         return {
+            "workers": self.workers,
             "collection": placement,
             "cache": self.cache_stats().to_dict(),
             "views": self.views.stats() if self.views is not None else None,
             "flight": self.flight.stats() if self.flight else None,
             "serial_materialized": serial,
+            "resilience": {
+                "deadline_s": self.deadline_s,
+                "max_retries": self.retry.max_retries,
+                "breaker": self._breaker_state(),
+                "degrade": self.degrade_enabled,
+            },
             "fault_accounting": self.fault_accounting,
             "executor": self.executor,
             "procpool": procpool.stats() if procpool is not None else None,
@@ -873,23 +949,28 @@ class ShardedService:
         }
 
     def close(self) -> None:
-        """Drain the dispatch threads, then close every shard service,
-        the serial fallback and the worker processes."""
-        self._closed = True
+        """Drain the worker pool and the dispatch threads, then close
+        every store executor and the worker processes."""
         with self._procpool_lock:
+            self._closed = True
+            pool, self._worker_pool = self._worker_pool, None
             procpool, self._procpool = self._procpool, None
             dispatch, self._dispatch = self._dispatch, {}
+        if pool is not None:
+            pool.shutdown(wait=True)
         # threads first, so no connection is closed under a running
         # statement; a thread blocked on a worker's pipe is not waited
         # for — closing the process pool below unblocks it
-        for pool in dispatch.values():
-            pool.shutdown(wait=self.executor == "thread", cancel_futures=True)
-        for service in self._shard_services:
-            service.close()
+        for threads in dispatch.values():
+            threads.shutdown(
+                wait=self.executor == "thread", cancel_futures=True
+            )
         with self._serial_lock:
-            serial, self._serial_service = self._serial_service, None
+            serial, self._serial_executor = self._serial_executor, None
+        for executor in self._executors:
+            executor.close()
         if serial is not None:
-            serial.close()
+            serial.close()  # a no-op when it is the one shard's executor
         if procpool is not None:
             procpool.close()
 

@@ -42,7 +42,7 @@ Metrics: ``service.cache.view_hit`` on every view-tier answer, plus
 ``service.views.{admitted,rejected,evicted,invalidated}`` counters and
 a ``service.views.bytes`` gauge (catalog in ``docs/observability.md``);
 the counters are also kept as attributes for direct inspection and
-surface through ``QueryService.cache_stats()``.
+surface through ``ShardedService.cache_stats()``.
 """
 
 from __future__ import annotations

@@ -29,7 +29,7 @@ from typing import Any, Iterable
 
 from repro.errors import DocumentError
 from repro.infoset.encoding import DocumentStore
-from repro.infoset.serialize import serialize_nodes
+from repro.infoset.serialize import serialize_nodes, serialize_sequence
 from repro.xmltree.model import DocumentNode
 from repro.xmltree.parser import parse_document
 
@@ -58,7 +58,9 @@ class Collection:
     ----------
     shards:
         Number of partitions.  ``1`` degenerates to a single
-        :class:`DocumentStore` behind the collection interface.
+        :class:`DocumentStore` behind the collection interface: local
+        and global ranks coincide, and the combined store is the
+        shard's own.
     """
 
     def __init__(self, shards: int = 1):
@@ -191,8 +193,11 @@ class Collection:
         Documents join a shard in global load order, so the mapping is
         monotonic per shard: a shard-sorted result stays sorted after
         translation, and merging per-shard results by global rank
-        reproduces document order (doc rank ⊕ pre) exactly.
+        reproduces document order (doc rank ⊕ pre) exactly.  On one
+        shard the two rank spaces coincide.
         """
+        if self.shards == 1:
+            return list(pres)
         entries = self._by_shard[shard]
         roots = [entry.shard_root for entry in entries]
         out: list[int] = []
@@ -212,6 +217,8 @@ class Collection:
 
     def to_local(self, global_pre: int) -> tuple[int, int]:
         """Inverse translation: global rank to (shard, local rank)."""
+        if self.shards == 1:
+            return 0, global_pre
         roots = self._global_roots
         if roots is None:
             roots = self._global_roots = [
@@ -296,9 +303,13 @@ class Collection:
 
     def combined_store(self) -> DocumentStore:
         """One table hosting every document in global order — exactly
-        the store a serial (unsharded) processor would have built.
-        Materialized lazily by grafting shredded subtrees from the
-        shard tables; kept in sync by subsequent loads."""
+        the store a serial (unsharded) processor would have built.  On
+        one shard that is the shard's own store (local and global ranks
+        coincide); otherwise it is materialized lazily by grafting
+        shredded subtrees from the shard tables and kept in sync by
+        subsequent loads."""
+        if self.shards == 1:
+            return self.stores[0]
         if self._combined is None:
             combined = DocumentStore()
             for entry in self._entries:
@@ -316,8 +327,10 @@ class Collection:
         Each item serializes against its own shard table; nodes are
         independent under serialization, so the concatenation is
         byte-identical to serializing the same sequence against the
-        combined table.
+        combined table.  On one shard, that table is the shard's own.
         """
+        if self.shards == 1:
+            return serialize_sequence(self.stores[0].table, items)
         parts: list[str] = []
         for item in items:
             shard, local = self.to_local(item)

@@ -20,7 +20,9 @@ from repro.faults.campaign import (
     format_chaos_report,
     run_chaos_campaign,
 )
-from repro.service import QueryService
+from repro.pipeline import XQueryProcessor
+from repro.service import ShardedService
+from repro.store import Collection
 
 GATE_CONFIG = ChaosConfig(
     seed=7,
@@ -114,13 +116,21 @@ def test_no_stale_results_across_midstorm_reload():
     extra_query = 'doc("extra.xml")//item/name'
     base_query = 'doc("auction.xml")//bidder/increase'
 
-    service = QueryService(workers=8, deadline_s=1.5, breaker_threshold=64)
+    service = ShardedService(
+        Collection(1), workers=8, deadline_s=1.5, breaker_threshold=64
+    )
     service.load(
         "<open_auction><bidder><increase>4.20</increase></bidder>"
         "</open_auction>",
         "auction.xml",
     )
-    base_expected = service.execute(base_query)
+    # the references: a bare processor on the reference interpreter
+    # over the same store, outside the service
+    def reference(query: str) -> list[int]:
+        bare = XQueryProcessor(store=service.store)
+        return bare.execute(query, engine="interpreter")
+
+    base_expected = reference(base_query)
     assert base_expected != []
 
     threads = 8
@@ -167,7 +177,7 @@ def test_no_stale_results_across_midstorm_reload():
             thread.join()
 
     # the canonical post-load answer, computed after the storm
-    extra_expected = service.execute(extra_query)
+    extra_expected = reference(extra_query)
     assert len(extra_expected) == 10
     service.close()
 

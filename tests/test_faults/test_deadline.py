@@ -12,7 +12,9 @@ import repro
 from repro.errors import DeadlineExceeded
 from repro.faults import FaultInjector, injection
 from repro.obs import metrics_scope
-from repro.service import QueryService
+from repro.service import ShardedService
+from repro.service.pool import BackendPool
+from repro.store import Collection
 
 AUCTION_XML = """\
 <open_auction id="1">
@@ -34,9 +36,14 @@ DEADLINE_S = 0.05
 
 @pytest.fixture()
 def service():
-    with QueryService(workers=2) as svc:
+    with ShardedService(Collection(1), workers=2) as svc:
         svc.load(AUCTION_XML, "auction.xml")
         yield svc
+
+
+def _pool(service: ShardedService) -> BackendPool | None:
+    """The one shard's backend pool."""
+    return service._executors[0]._pool
 
 
 def test_stalled_query_misses_its_deadline_promptly(service):
@@ -62,12 +69,12 @@ def test_stalled_query_misses_its_deadline_promptly(service):
         "surface": 1,
     }
     # no leaked lease: a retired pool would otherwise never drain
-    assert service._pool is not None and service._pool.leases == 0
+    pool_before = _pool(service)
+    assert pool_before is not None and pool_before.leases == 0
     # no poisoned state: the same cached plan answers correctly, from
     # the same pool, on the very next call
-    pool_before = service._pool
     assert service.execute(QUERY, deadline_s=5.0) == expected
-    assert service._pool is pool_before
+    assert _pool(service) is pool_before
     # one compile: the exact-text entry plus its canonical-pattern alias
     assert service.cache.stats()["size"] == 2
 
@@ -83,7 +90,7 @@ def test_per_call_deadline_overrides_service_default(service):
 
 def test_service_default_deadline_applies(service):
     expected = service.execute(QUERY)
-    with QueryService(deadline_s=DEADLINE_S) as governed:
+    with ShardedService(Collection(1), deadline_s=DEADLINE_S) as governed:
         governed.load(AUCTION_XML, "auction.xml")
         assert governed.execute(QUERY) == expected  # fast query fits
         injector = FaultInjector.scripted([None, "stall"], stall_ms=STALL_MS)
@@ -119,7 +126,6 @@ def test_non_positive_deadline_is_rejected_not_silently_disabled(service):
         service.execute(QUERY, deadline_s=0)
     with pytest.raises(ValueError):
         service.execute(QUERY, deadline_s=-1.0)
-    assert service._admission.inflight == 0  # the slot was released
     assert service.execute(QUERY) != []
 
 
@@ -155,8 +161,8 @@ def test_deadline_exceeded_through_the_worker_pool(service):
         future = service.submit(QUERY, deadline_s=DEADLINE_S)
         with pytest.raises(DeadlineExceeded):
             future.result(timeout=30)
-    assert service._admission.inflight == 0
-    assert service._pool is not None and service._pool.leases == 0
+    pool = _pool(service)
+    assert pool is not None and pool.leases == 0
 
 
 @pytest.mark.parametrize("shards", [1, 2])

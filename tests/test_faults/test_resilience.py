@@ -13,10 +13,8 @@ from repro.errors import (
     CircuitOpenError,
     DeadlineExceeded,
     PoolRetiredError,
-    ServiceOverloaded,
 )
 from repro.service.resilience import (
-    AdmissionGate,
     CircuitBreaker,
     Deadline,
     RetryPolicy,
@@ -343,40 +341,3 @@ def test_release_probe_ignores_non_owner_threads():
     assert observed == [False]  # the probe slot was not stolen
     breaker.release_probe()  # the owner frees it
     assert breaker.allow()
-
-
-# -- AdmissionGate --------------------------------------------------------
-
-
-def test_gate_capacity_must_be_positive():
-    with pytest.raises(ValueError):
-        AdmissionGate(0)
-
-
-def test_uncapped_gate_admits_everything():
-    gate = AdmissionGate(None)
-    for _ in range(100):
-        gate.enter()
-    assert gate.inflight == 100
-
-
-def test_gate_fast_fails_at_capacity_and_recovers():
-    gate = AdmissionGate(2)
-    gate.enter()
-    gate.enter()
-    with pytest.raises(ServiceOverloaded):
-        gate.enter()
-    gate.exit()
-    gate.enter()  # freed slot is reusable
-    assert gate.inflight == 2
-
-
-def test_gate_slot_releases_on_error():
-    gate = AdmissionGate(1)
-    with pytest.raises(RuntimeError):
-        with gate.slot():
-            assert gate.inflight == 1
-            raise RuntimeError("boom")
-    assert gate.inflight == 0
-    with gate.slot():
-        pass

@@ -1,5 +1,6 @@
-"""The hardened QueryService against scripted faults: retry, connection
-recovery, pool-retirement races, degradation, breaker, admission.
+"""The hardened serving stack on one shard against scripted faults:
+retry, connection recovery, pool-retirement races, degradation,
+breaker, and the batch APIs under failure.
 
 Scripted injectors replay one entry per injection *opportunity*; on the
 pooled path each execute is a lease opportunity followed by an execute
@@ -20,8 +21,11 @@ from repro.errors import (
 )
 from repro.faults import FaultInjector, injection
 from repro.obs import metrics_scope
-from repro.service import QueryService
+from repro.pipeline import XQueryProcessor
+from repro.service import ShardedService
+from repro.service.pool import BackendPool
 from repro.service.resilience import RetryPolicy
+from repro.store import Collection
 
 AUCTION_XML = """\
 <open_auction id="1">
@@ -36,16 +40,27 @@ AUCTION_XML = """\
 QUERY = 'doc("auction.xml")//bidder/increase'
 
 
-def make_service(**kwargs) -> QueryService:
-    service = QueryService(workers=2, **kwargs)
+def make_service(workers: int = 2, **kwargs) -> ShardedService:
+    service = ShardedService(Collection(1), workers=workers, **kwargs)
     service.load(AUCTION_XML, "auction.xml")
     return service
 
 
+def _pool(service: ShardedService) -> BackendPool | None:
+    """The one shard's backend pool."""
+    return service._executors[0]._pool
+
+
+def _breaker_state(service: ShardedService) -> str:
+    return service._executors[0].breaker.state
+
+
 @pytest.fixture()
 def expected():
-    with make_service() as plain:
-        return plain.execute(QUERY)
+    """The reference answer: a bare processor, no service."""
+    bare = XQueryProcessor()
+    bare.load(AUCTION_XML, "auction.xml")
+    return bare.execute(QUERY, engine="interpreter")
 
 
 def test_busy_fault_is_retried_to_success(expected):
@@ -62,7 +77,8 @@ def test_busy_fault_is_retried_to_success(expected):
             "degrade": 0,
             "surface": 0,
         }
-        assert service._pool is not None and service._pool.leases == 0
+        pool = _pool(service)
+        assert pool is not None and pool.leases == 0
 
 
 def test_connection_death_discards_and_retries_on_fresh_connection(expected):
@@ -79,10 +95,10 @@ def test_connection_death_discards_and_retries_on_fresh_connection(expected):
 def test_injected_retirement_race_rebuilds_the_pool(expected):
     with make_service() as service:
         assert service.execute(QUERY) == expected  # build the first pool
-        first_pool = service._pool
+        first_pool = _pool(service)
         with injection(FaultInjector.scripted(["retire"])):
             assert service.execute(QUERY) == expected
-        assert service._pool is not first_pool
+        assert _pool(service) is not first_pool
         assert first_pool.retired
         assert service.fault_accounting["retry"] == 1
 
@@ -118,7 +134,7 @@ def test_degrade_disabled_surfaces_backend_unavailable(expected):
         }
         # the failure was contained: the very next call answers
         assert service.execute(QUERY) == expected
-        assert service._pool.leases == 0
+        assert _pool(service).leases == 0
 
 
 def test_open_breaker_fastpaths_to_degraded_answers(expected):
@@ -128,7 +144,7 @@ def test_open_breaker_fastpaths_to_degraded_answers(expected):
         with injection(FaultInjector.scripted([None, "busy"])):
             with metrics_scope() as metrics:
                 assert service.execute(QUERY) == expected  # trips the breaker
-                assert service._breaker.state == "open"
+                assert _breaker_state(service) == "open"
                 assert service.execute(QUERY) == expected  # short-circuited
         counters = metrics.snapshot()["counters"]
         assert counters["service.degrade.breaker_fastpath"] == 1
@@ -162,7 +178,7 @@ def test_breaker_recovers_through_half_open_probe(expected):
         # reset window (0 s) elapsed: the next call is the probe, the
         # injector script is exhausted, so it succeeds and closes
         assert service.execute(QUERY) == expected
-        assert service._breaker.state == "closed"
+        assert _breaker_state(service) == "closed"
 
 
 def test_probe_deadline_miss_does_not_wedge_the_breaker(expected):
@@ -183,54 +199,34 @@ def test_probe_deadline_miss_does_not_wedge_the_breaker(expected):
         # admitted as a fresh probe, succeeds, and closes the breaker —
         # a leaked slot would refuse every call here forever
         assert service.execute(QUERY) == expected
-        assert service._breaker.state == "closed"
-
-
-def test_queue_cap_fast_fails_with_service_overloaded(expected):
-    with make_service(queue_cap=1) as service:
-        service._admission.enter()  # occupy the only slot
-        try:
-            with pytest.raises(ServiceOverloaded):
-                service.execute(QUERY)
-            with pytest.raises(ServiceOverloaded):
-                service.submit(QUERY)
-        finally:
-            service._admission.exit()
-        assert service.execute(QUERY) == expected
-        assert service._admission.inflight == 0
-
-
-def test_cancelled_queued_future_releases_its_admission_slot(expected):
-    with QueryService(workers=1, queue_cap=1) as service:
-        service.load(AUCTION_XML, "auction.xml")
-        unblock = threading.Event()
-        # wedge the only worker so the next submission stays queued
-        service._ensure_executor().submit(unblock.wait)
-        try:
-            future = service.submit(QUERY)  # queued; holds the one slot
-            with pytest.raises(ServiceOverloaded):
-                service.submit(QUERY)
-            assert future.cancel()  # _task never runs for this future
-            # the done-callback released the slot anyway
-            assert service._admission.inflight == 0
-        finally:
-            unblock.set()
-        assert service.submit(QUERY).result(timeout=30) == expected
+        assert _breaker_state(service) == "closed"
 
 
 def test_run_many_drains_submitted_work_when_a_submit_overloads(expected):
-    with QueryService(workers=1, queue_cap=1) as service:
-        service.load(AUCTION_XML, "auction.xml")
+    with make_service(workers=1) as service:
+        assert service.submit(QUERY).result(timeout=30) == expected
         unblock = threading.Event()
         # wedge the only worker: the first batch entry queues, the
-        # second overflows the admission cap mid-batch
-        service._ensure_executor().submit(unblock.wait)
+        # second submission overloads mid-batch
+        service._worker_pool.submit(unblock.wait)
+        submitted = []
+        submit = service.submit
+
+        def overloading_submit(query, **kwargs):
+            if submitted:
+                raise ServiceOverloaded("backlog full")
+            submitted.append(submit(query, **kwargs))
+            return submitted[-1]
+
+        service.submit = overloading_submit
         try:
             with pytest.raises(ServiceOverloaded):
                 service.run_many([QUERY, QUERY])
             # the already-submitted future was cancelled, not abandoned
-            assert service._admission.inflight == 0
+            [queued] = submitted
+            assert queued.cancelled()
         finally:
+            del service.submit
             unblock.set()
         assert service.run_many([QUERY]) == [expected]
 
@@ -240,18 +236,17 @@ def test_submit_path_recovers_from_faults_too(expected):
         with injection(FaultInjector.scripted([None, "busy"])):
             future = service.submit(QUERY)
             assert future.result(timeout=30) == expected
-        assert service._admission.inflight == 0
 
 
 def test_stats_expose_the_resilience_block(expected):
-    with make_service(deadline_s=5.0, queue_cap=16) as service:
+    with make_service(deadline_s=5.0) as service:
         service.execute(QUERY)
-        resilience = service.stats()["resilience"]
+        stats = service.stats()
+        resilience = stats["resilience"]
         assert resilience["deadline_s"] == 5.0
-        assert resilience["queue_cap"] == 16
         assert resilience["breaker"] == "closed"
         assert resilience["degrade"] is True
-        assert resilience["fault_accounting"] == {
+        assert stats["fault_accounting"] == {
             "retry": 0,
             "degrade": 0,
             "surface": 0,
@@ -263,7 +258,7 @@ def test_organic_faults_recover_but_stay_off_the_ledger(expected):
         assert service.execute(QUERY) == expected
         # an *organic* retirement (no injector): the service must
         # recover identically but account nothing
-        service._pool.retire()
+        _pool(service).retire()
         assert service.execute(QUERY) == expected
         assert service.fault_accounting == {
             "retry": 0,

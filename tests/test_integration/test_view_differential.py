@@ -24,9 +24,9 @@ import random
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.infoset import DocumentStore
 from repro.pipeline import XQueryProcessor
-from repro.service import QueryService
+from repro.service import ShardedService
+from repro.store import Collection
 from tests.genquery import DEFAULT_URI, QueryGenerator, random_document
 
 #: CI sets this higher; the local default keeps the sweep in seconds
@@ -38,11 +38,13 @@ def run_view_differential(seed: int) -> None:
     xml = random_document(rng)
     broad, narrow = QueryGenerator(rng).contained_pair()
 
-    store = DocumentStore()
-    store.load(xml, DEFAULT_URI)
-    bare = XQueryProcessor(store=store, default_doc=DEFAULT_URI)
-    with QueryService(
-        store=store,
+    collection = Collection(1)
+    collection.load(xml, DEFAULT_URI)
+    bare = XQueryProcessor(
+        store=collection.combined_store(), default_doc=DEFAULT_URI
+    )
+    with ShardedService(
+        collection,
         default_doc=DEFAULT_URI,
         workers=1,
         view_admit_after=1,
@@ -80,10 +82,10 @@ def test_known_seeds_exercise_the_view_tier():
         rng = random.Random(seed)
         xml = random_document(rng)
         broad, narrow = QueryGenerator(rng).contained_pair()
-        store = DocumentStore()
-        store.load(xml, DEFAULT_URI)
-        with QueryService(
-            store=store,
+        collection = Collection(1)
+        collection.load(xml, DEFAULT_URI)
+        with ShardedService(
+            collection,
             default_doc=DEFAULT_URI,
             workers=1,
             view_admit_after=1,

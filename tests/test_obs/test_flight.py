@@ -251,12 +251,12 @@ def test_sharded_service_records_scatter_decision():
 
 
 def test_sharded_shard_services_annotate_not_record():
-    """Exactly one record per query: the shard-level services run with
-    recording off and annotate the boundary's context instead."""
+    """Exactly one record per query: the store executors own no
+    recorder and annotate the boundary's context instead."""
     with _sharded_session() as session:
         session.execute("collection()//item[name]")
         service = session.service
-        assert all(s.flight is None for s in service._shard_services)
+        assert not any(hasattr(e, "flight") for e in service._executors)
         assert service.flight.counts()["recorded"] == 1
 
 

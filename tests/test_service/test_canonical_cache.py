@@ -2,17 +2,15 @@
 for comment/whitespace respellings), canonical-pattern aliases (hits
 for semantically equivalent respellings), hit accounting, and the
 identical-results contract against cold compiles — on both
-:class:`QueryService` and :class:`ShardedService`.
+one shard and on several.
 """
 
 from __future__ import annotations
 
 import random
 
-from repro.infoset import DocumentStore
 from repro.obs import metrics_scope
 from repro.pipeline import XQueryProcessor
-from repro.service import QueryService
 from repro.service.scatter import ShardedService
 from repro.store import Collection
 from repro.xquery.text import normalize_query_text
@@ -27,8 +25,8 @@ XML = """\
 """
 
 
-def make_service() -> QueryService:
-    svc = QueryService(workers=1)
+def make_service() -> ShardedService:
+    svc = ShardedService(Collection(1), workers=1)
     svc.load(XML, "site.xml")
     return svc
 
@@ -132,8 +130,8 @@ def test_store_reload_invalidates_canonical_aliases():
 
 
 def _sharded() -> ShardedService:
-    service = ShardedService(Collection(2), default_doc="m0.xml",
-                             parallel_fanout=False)
+    service = ShardedService(Collection(2), default_doc="m0.xml")
+    service.parallel_fanout = False
     rng = random.Random(11)
     for index in range(4):
         service.load(random_document(rng), f"m{index}.xml", shard=index % 2)

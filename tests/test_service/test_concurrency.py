@@ -10,8 +10,9 @@ from __future__ import annotations
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
-from repro.infoset import DocumentStore
-from repro.service import QueryService
+from repro.pipeline import XQueryProcessor
+from repro.service import ShardedService
+from repro.store import Collection
 from repro.workloads import XMARK_QUERIES, XMarkConfig, generate_xmark
 
 THREADS = 8
@@ -19,20 +20,26 @@ QUERIES_PER_THREAD = 56
 QUERY_MIX = ("X1", "X5", "X13", "X17", "X19")
 
 
-def _xmark_service(workers: int = THREADS) -> QueryService:
-    store = DocumentStore()
-    store.load_tree(generate_xmark(XMarkConfig(factor=0.002)))
-    return QueryService(store=store, default_doc="auction.xml", workers=workers)
+def _xmark_service(workers: int = THREADS) -> ShardedService:
+    collection = Collection(1)
+    collection.load_tree(generate_xmark(XMarkConfig(factor=0.002)))
+    return ShardedService(collection, default_doc="auction.xml", workers=workers)
+
+
+def _interpret(service: ShardedService, text: str) -> list[int]:
+    """The reference answer: a bare processor on the reference
+    interpreter over the same documents, outside the service."""
+    bare = XQueryProcessor(store=service.store, default_doc="auction.xml")
+    return bare.execute(text, engine="interpreter")
 
 
 def test_stress_no_cross_talk_and_interpreter_consistency():
     with _xmark_service() as service:
         texts = {name: XMARK_QUERIES[name].text for name in QUERY_MIX}
         # ground truth, computed single-threaded before the storm
-        reference = {
-            name: service.execute(text, engine="interpreter")
-            for name, text in texts.items()
-        }
+        reference = {name: _interpret(service, text) for name, text in texts.items()}
+        for text in texts.values():
+            service.compile(text)  # each artifact compiles once, up front
         mismatches: list[str] = []
         barrier = threading.Barrier(THREADS)
 
@@ -65,7 +72,7 @@ def test_stress_no_cross_talk_and_interpreter_consistency():
 def test_run_many_stress_matches_interpreter():
     with _xmark_service(workers=THREADS) as service:
         text = XMARK_QUERIES["X8"].text
-        reference = service.execute(text, engine="interpreter")
+        reference = _interpret(service, text)
         results = service.run_many([text] * 64)
         assert all(items == reference for items in results)
 
@@ -75,7 +82,7 @@ def test_concurrent_submissions_from_many_client_threads():
     of concurrency: client threads + the service's worker pool)."""
     with _xmark_service(workers=4) as service:
         texts = [XMARK_QUERIES[name].text for name in QUERY_MIX]
-        reference = [service.execute(t, engine="interpreter") for t in texts]
+        reference = [_interpret(service, t) for t in texts]
 
         def client(seed: int) -> bool:
             futures = [
@@ -97,7 +104,7 @@ def test_load_during_traffic_is_graceful():
     version — and nothing crashes or cross-talks."""
     with _xmark_service(workers=4) as service:
         text = XMARK_QUERIES["X13"].text
-        reference = service.execute(text, engine="interpreter")
+        reference = _interpret(service, text)
         futures = [service.submit(text) for _ in range(32)]
         service.load("<extra><item/></extra>", "extra.xml")
         futures += [service.submit(text) for _ in range(32)]

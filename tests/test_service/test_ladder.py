@@ -1,8 +1,8 @@
-"""The one cache ladder, behind both service shells: the same tier
-sequence — miss → exact → canonical back-fill → view → invalidated by
-``load`` → single-flight — must read identically on
-:class:`QueryService` and :class:`ShardedService`, on hand-written
-documents and on the XMark families a templated client narrows."""
+"""The one cache ladder: the same tier sequence — miss → exact →
+canonical back-fill → view → invalidated by ``load`` → single-flight —
+must read identically on one shard (``doc()`` queries) and on two
+(``collection()`` queries), on hand-written documents and on the XMark
+families a templated client narrows."""
 
 from __future__ import annotations
 
@@ -13,7 +13,7 @@ import pytest
 
 from repro.obs import get_metrics
 from repro.pipeline import XQueryProcessor
-from repro.service import QueryService, ShardedService
+from repro.service import ShardedService
 from repro.store import Collection
 from repro.workloads import CorpusConfig, xmark_corpus
 from repro.xmltree.serializer import serialize
@@ -43,13 +43,14 @@ class Shell:
     def __init__(self, shape: str, docs=DOCS):
         self.default_doc = docs[0][1]
         if shape == "unsharded":
-            self.service = QueryService(workers=2, view_admit_after=2)
+            collection = Collection(1)
             self.source = f'doc("{self.default_doc}")'
         else:
-            self.service = ShardedService(
-                Collection(2), workers_per_shard=1, view_admit_after=2
-            )
+            collection = Collection(2)
             self.source = 'collection("*")'
+        self.service = ShardedService(
+            collection, workers=2, view_admit_after=2
+        )
         for text, uri in docs:
             self.service.load(text, uri)
 
@@ -61,15 +62,11 @@ class Shell:
 
     def bare(self) -> XQueryProcessor:
         """A cache-less processor over the same content."""
-        if isinstance(self.service, ShardedService):
-            collection = self.service.collection
-            return XQueryProcessor(
-                store=collection.combined_store(),
-                default_doc=self.default_doc,
-                collections=collection.resolve,
-            )
+        collection = self.service.collection
         return XQueryProcessor(
-            store=self.service.store, default_doc=self.default_doc
+            store=collection.combined_store(),
+            default_doc=self.default_doc,
+            collections=collection.resolve,
         )
 
     def reference(self, query: str) -> list[int]:

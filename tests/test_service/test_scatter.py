@@ -41,10 +41,8 @@ def _corpus(seed: int = 9) -> list[tuple[str, str]]:
 
 
 def make_sharded(shards: int = 3, **kwargs) -> ShardedService:
-    service = ShardedService(
-        Collection(shards), default_doc=DOCS[0], parallel_fanout=False,
-        **kwargs,
-    )
+    service = ShardedService(Collection(shards), default_doc=DOCS[0], **kwargs)
+    service.parallel_fanout = False
     for index, (text, uri) in enumerate(_corpus()):
         service.load(text, uri, shard=index % shards)
     return service
@@ -199,9 +197,8 @@ def test_let_shared_collection_differential_regression():
     )
     expected = serial.execute(query, "joingraph-sql")
     assert len(expected) == 4  # one flag document guards *all* items
-    service = ShardedService(
-        Collection(4), default_doc="f0.xml", parallel_fanout=False
-    )
+    service = ShardedService(Collection(4), default_doc="f0.xml")
+    service.parallel_fanout = False
     with service:
         for index, (text, uri) in enumerate(docs):
             service.load(text, uri, shard=index % 4)
@@ -232,9 +229,8 @@ def test_interpreter_engines_run_serially_and_agree():
 def test_parallel_and_sequential_fanout_agree():
     with make_sharded() as sequential:
         expected = sequential.execute(COLLECTION_QUERY)
-    service = ShardedService(
-        Collection(3), default_doc=DOCS[0], parallel_fanout=True
-    )
+    service = ShardedService(Collection(3), default_doc=DOCS[0])
+    service.parallel_fanout = True
     with service:
         for index, (text, uri) in enumerate(_corpus()):
             service.load(text, uri, shard=index % 3)
@@ -293,7 +289,7 @@ def _fail_shard(service: ShardedService, shard: int) -> None:
     def boom(*args, **kwargs):
         raise BackendUnavailable("injected shard outage")
 
-    service._shard_services[shard].execute = boom
+    service._executors[shard].run = boom
 
 
 def test_shard_failure_degrades_to_serial_fallback():
@@ -346,3 +342,59 @@ def test_closed_service_rejects_queries():
     service.close()
     with pytest.raises(RuntimeError):
         service.execute(COLLECTION_QUERY)
+
+
+# -- compile once ----------------------------------------------------------
+
+SERIAL_QUERY = "(let $c := collection() return $c//a[$c//b = 3])/b"
+
+
+def _compiles(service: ShardedService, query: str):
+    with metrics_scope() as metrics:
+        result = service.execute(query)
+    return metrics.snapshot()["counters"].get("pipeline.compiles", 0), result
+
+
+def test_routed_and_serial_sql_queries_compile_once():
+    serial = make_serial()
+    with make_sharded(shards=4) as service:
+        # routed: the collection-level plan runs on its one shard as is
+        compiles, result = _compiles(service, 'doc("m2.xml")//b/c')
+        assert (compiles, result.shards) == (1, 1)
+        assert list(result) == list(serial.execute('doc("m2.xml")//b/c'))
+        # serial SQL: the compiled plan names URIs, not ranks, and runs
+        # unchanged on the combined store
+        compiles, result = _compiles(service, SERIAL_QUERY)
+        assert (compiles, result.shards) == (1, 1)
+        assert list(result) == list(serial.execute(SERIAL_QUERY))
+        # a scatter across k shards compiles one variant per shard
+        compiles, result = _compiles(service, COLLECTION_QUERY)
+        assert result.shards == 4
+        assert compiles == 1 + result.shards
+        assert list(result) == list(serial.execute(COLLECTION_QUERY))
+
+
+def test_checked_service_sanitizes_every_cold_compile(monkeypatch):
+    """``checked=True`` covers the plans that actually run: shard
+    variants and serial-store variants compile under the sanitizer."""
+    steps: list[int] = []
+    compile_ = XQueryProcessor.compile
+
+    def counted(self, query):
+        sanitizer = self._engine.sanitizer
+        before = sanitizer.steps_checked if sanitizer is not None else 0
+        compiled = compile_(self, query)
+        after = sanitizer.steps_checked if sanitizer is not None else 0
+        steps.append(after - before)
+        return compiled
+
+    monkeypatch.setattr(XQueryProcessor, "compile", counted)
+    with make_sharded(shards=4, checked=True) as service:
+        assert service.execute(COLLECTION_QUERY).shards == 4
+        service.execute('doc("m2.xml")//b/c')
+        service.execute(SERIAL_QUERY)
+        service.execute(COLLECTION_QUERY, "interpreter")
+    assert all(step > 0 for step in steps), steps
+    # scatter 1 + 4, routed 1, serial 1, interpreter variant 1 (the
+    # collection-level plan of that query is already cached)
+    assert len(steps) == 8

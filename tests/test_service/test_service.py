@@ -1,14 +1,13 @@
-"""QueryService facade tests: cache correctness, invalidation,
+"""The serving class on one shard: cache correctness, invalidation,
 metrics, and the batch APIs."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.infoset import DocumentStore
 from repro.obs import metrics_scope
 from repro.pipeline import XQueryProcessor
-from repro.service import QueryService, ShardedService
+from repro.service import ShardedService
 from repro.store import Collection
 
 AUCTION_XML = """\
@@ -26,7 +25,7 @@ ENGINES = ("interpreter", "isolated-interpreter", "stacked-sql", "joingraph-sql"
 
 @pytest.fixture()
 def service():
-    with QueryService(workers=2) as svc:
+    with ShardedService(Collection(1), workers=2) as svc:
         svc.load(AUCTION_XML, "auction.xml")
         yield svc
 
@@ -39,11 +38,15 @@ def test_cache_hit_identical_to_cold_compile_across_engines(service):
         engine: cold.execute(cold.compile(query), engine=engine)
         for engine in ENGINES
     }
-    # first service call fills the cache, the rest must hit
-    for engine in ENGINES:
-        assert service.execute(query, engine=engine) == reference[engine]
-    assert service.cache.stats()["misses"] == 1
-    assert service.cache.stats()["hits"] == len(ENGINES) - 1
+    # first service call fills the cache, the rest must hit; the
+    # interpreters run a plan compiled over the store itself (one more
+    # miss on the first, a hit on the second), SQL the collection plan
+    with metrics_scope() as metrics:
+        for engine in ENGINES:
+            assert service.execute(query, engine=engine) == reference[engine]
+    assert metrics.snapshot()["counters"]["pipeline.compiles"] == 2
+    assert service.cache.stats()["misses"] == 2
+    assert service.cache.stats()["hits"] == len(ENGINES)
     # and a hit returns the *same* artifact, not a recompile
     assert service.compile(query) is service.compile(query)
 
@@ -67,12 +70,12 @@ def test_cache_invalidates_on_document_load(service):
 
 
 def test_disabled_rules_get_distinct_cache_entries():
-    store = DocumentStore()
-    store.load(AUCTION_XML, "auction.xml")
+    collection = Collection(1)
+    collection.load(AUCTION_XML, "auction.xml")
     query = "//bidder"
-    with QueryService(store=store, default_doc="auction.xml") as plain, \
-            QueryService(
-                store=store,
+    with ShardedService(collection, default_doc="auction.xml") as plain, \
+            ShardedService(
+                collection,
                 default_doc="auction.xml",
                 disabled_rules={"17", "18"},
             ) as ablated:
@@ -111,7 +114,7 @@ def test_submit_returns_future(service):
 
 def test_service_metrics_flow_from_workers():
     with metrics_scope() as metrics:
-        with QueryService(workers=2) as svc:
+        with ShardedService(Collection(1), workers=2) as svc:
             svc.load(AUCTION_XML, "auction.xml")
             svc.run_many(["//initial"] * 10)
         counters = metrics.snapshot()["counters"]
@@ -129,9 +132,8 @@ def test_service_metrics_flow_from_workers():
     broad, narrow = 'collection("*")//bidder', 'collection("*")//bidder[time]'
     for parallel in (False, True):
         with metrics_scope() as metrics:
-            with ShardedService(
-                Collection(4), parallel_fanout=parallel, view_admit_after=1
-            ) as svc:
+            with ShardedService(Collection(4), view_admit_after=1) as svc:
+                svc.parallel_fanout = parallel
                 for shard in range(4):
                     svc.load(AUCTION_XML, f"a{shard}.xml", shard=shard)
                 assert svc.execute(broad).shards == 4  # admits the view
@@ -158,10 +160,11 @@ def test_stats_snapshot(service):
     service.execute("//initial")
     stats = service.stats()
     assert stats["workers"] == 2
-    assert stats["store_version"] == service.store.version
+    [shard] = stats["per_shard"]
+    assert shard["service"]["store_version"] == service.store.version
     # one compile: the exact-text entry plus its canonical-pattern alias
     assert stats["cache"]["size"] == 2
-    assert stats["pool_connections"] >= 1
+    assert shard["service"]["pool_connections"] >= 1
 
 
 def test_unknown_engine_rejected(service):

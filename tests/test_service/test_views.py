@@ -2,9 +2,9 @@
 strictly-contained lookup through the PR 6 decision procedure,
 residual re-filtering via the membership oracle, LRU eviction inside
 the byte budget, and the never-stale invalidation contract — on the
-:class:`ViewManager` in isolation and wired into both
-:class:`QueryService` and :class:`ShardedService` (what a ``load`` does
-to the tier, on both, is in ``test_ladder.py``).
+:class:`ViewManager` in isolation and wired into
+:class:`ShardedService` on one shard and on two (what a ``load`` does
+to the tier is in ``test_ladder.py``).
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import pytest
 
 from repro.analysis.containment import filter_pattern
 from repro.pipeline import XQueryProcessor
-from repro.service import QueryService, ViewManager
+from repro.service import ViewManager
 from repro.service.scatter import ShardedService
 from repro.service.service import canonical_pattern_of
 from repro.store import Collection
@@ -31,17 +31,17 @@ BROAD = "//a[b]"
 NARROW = "//a[b][c]"
 
 
-def make_service(**kwargs) -> QueryService:
-    svc = QueryService(workers=1, view_admit_after=2, **kwargs)
+def make_service(**kwargs) -> ShardedService:
+    svc = ShardedService(Collection(1), workers=1, view_admit_after=2, **kwargs)
     svc.load(XML, "site.xml")
     return svc
 
 
-def make_manager(service: QueryService, **kwargs) -> ViewManager:
+def make_manager(service: ShardedService, **kwargs) -> ViewManager:
     return ViewManager(service._view_filter, **kwargs)
 
 
-def pattern_for(service: QueryService, query: str):
+def pattern_for(service: ShardedService, query: str):
     processor = service.processor
     pattern = canonical_pattern_of(
         query, processor.default_doc, processor.collections
@@ -189,7 +189,7 @@ def test_constructor_validates():
         ViewManager(lambda p, rows: list(rows), admit_after=0)
 
 
-# -- wired into QueryService ------------------------------------------------
+# -- wired in, on one shard ------------------------------------------------
 
 
 def test_service_answers_narrowing_from_the_view_tier():
@@ -221,7 +221,7 @@ def test_view_answer_counts_in_cache_stats():
 
 
 def test_views_off_means_no_view_tier():
-    with QueryService(workers=1, views=False) as service:
+    with ShardedService(Collection(1), workers=1, views=False) as service:
         service.load(XML, "site.xml")
         assert service.views is None
         service.execute(BROAD)
@@ -234,11 +234,13 @@ def test_serialize_step_disables_views():
     """With the serialization step compiled in, results are not pre
     ranks, so the view tier stays off rather than materialize
     something the residual filter cannot re-check."""
-    with QueryService(workers=1, serialize_step=True) as service:
+    with ShardedService(
+        Collection(1), workers=1, serialize_step=True
+    ) as service:
         assert service.views is None
 
 
-# -- wired into ShardedService ----------------------------------------------
+# -- wired in, on two shards ------------------------------------------------
 
 DOCS = [
     ("<r><a><b>1</b><c>1</c></a></r>", "u0.xml"),
@@ -248,9 +250,7 @@ DOCS = [
 
 
 def make_sharded() -> ShardedService:
-    svc = ShardedService(
-        Collection(2), workers_per_shard=1, view_admit_after=2
-    )
+    svc = ShardedService(Collection(2), workers=2, view_admit_after=2)
     for text, uri in DOCS:
         svc.load(text, uri)
     return svc
@@ -278,8 +278,8 @@ def test_sharded_residual_filter_routes_global_ranks():
         broad_rows = list(service.execute('collection("*")//a[b]'))
         pattern = canonical_pattern_of(
             'collection("*")//a[b][c]',
-            service._compiler.default_doc,
-            service._compiler.collections,
+            service.processor.default_doc,
+            service.processor.collections,
         )
         assert pattern is not None
         filtered = service._view_filter(pattern, broad_rows)
