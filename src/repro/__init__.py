@@ -67,7 +67,6 @@ from repro.errors import (
     SanitizerError,
     ServiceError,
     ServiceOverloaded,
-    WorkerCrash,
     XMLParseError,
     XQuerySyntaxError,
     XQueryTypeError,
@@ -84,7 +83,7 @@ from repro.service import (
 )
 from repro.store import Collection
 
-__version__ = "2.0.0"
+__version__ = "3.0.0"
 
 __all__ = [
     "AnalysisError",
@@ -115,7 +114,6 @@ __all__ = [
     "ShardedService",
     "TenantSpec",
     "TierStats",
-    "WorkerCrash",
     "XMLParseError",
     "XQueryProcessor",
     "XQuerySyntaxError",

@@ -43,7 +43,6 @@ from repro.analysis.containment.decision import (
 from repro.analysis.containment.evaluate import (
     evaluate_pattern,
     filter_pattern,
-    pattern_selects,
 )
 from repro.analysis.containment.hom import find_homomorphism, verify_witness
 from repro.analysis.containment.pattern import (
@@ -71,7 +70,6 @@ __all__ = [
     "extract_pattern",
     "filter_pattern",
     "find_homomorphism",
-    "pattern_selects",
     "pattern_key",
     "pattern_nodes",
     "verify_witness",

@@ -31,7 +31,7 @@ from repro.analysis.containment.pattern import PNode, TreePattern
 from repro.infoset.encoding import DocTable
 from repro.xmltree.model import NodeKind
 
-__all__ = ["evaluate_pattern", "filter_pattern", "pattern_selects"]
+__all__ = ["evaluate_pattern", "filter_pattern"]
 
 _ATTR = int(NodeKind.ATTR)
 
@@ -198,34 +198,18 @@ def _selects_at(
     )
 
 
-def pattern_selects(pattern: TreePattern, table: DocTable, target: int) -> bool:
-    """Does ``target`` belong to ``evaluate_pattern(pattern, table)``?
-
-    Decided without materializing the full result: the selected node
-    must bind to ``target`` itself, and every spine node above it must
-    bind to an ancestor of ``target`` — so the search space collapses
-    to the ancestor-or-self chain.  Branch predicates fall back to the
-    unrestricted :func:`_exists` search.  Used by the service view tier
-    as the residual filter over materialized rows."""
-    if pattern.root is None:
-        return False
-    hosted = set(table.doc_uris)
-    for uri in set(pattern.uris):
-        if uri not in hosted:
-            continue
-        chain = _chain(table, table.root_of(uri), target)
-        if chain is not None and _selects_at(table, pattern.root, chain, 0):
-            return True
-    return False
-
-
 def filter_pattern(
     pattern: TreePattern, table: DocTable, candidates: Iterable[int]
 ) -> list[int]:
     """The subset of ``candidates`` (pre ranks, caller order preserved)
     that the pattern selects.  Equivalent to intersecting with
     :func:`evaluate_pattern` but proportional to ``len(candidates)``
-    rather than to the table."""
+    rather than to the table: the selected node must bind to a
+    candidate itself, and every spine node above it must bind to an
+    ancestor of it — so the search space collapses to the
+    ancestor-or-self chain.  Branch predicates fall back to the
+    unrestricted :func:`_exists` search.  Used by the service view tier
+    as the residual filter over materialized rows."""
     if pattern.root is None:
         return []
     hosted = set(table.doc_uris)

@@ -161,7 +161,6 @@ def connect(
     deadline_s: float | None = None,
     retry: RetryPolicy | None = None,
     degrade: bool = True,
-    executor: str = "thread",
     flight: bool = True,
     slow_threshold_s: float = 0.25,
     views: bool = True,
@@ -192,13 +191,6 @@ def connect(
         Resilience defaults: per-query time budget, transient-error
         retry policy, and graceful degradation (see
         ``docs/robustness.md``).
-    executor:
-        Shard execution mode: ``"thread"`` (default) runs
-        shard plans on in-process worker threads; ``"process"`` owns
-        one long-lived worker process per shard with its own SQLite
-        connection over a zero-copy attach of the shard image —
-        compiled plans ship to the workers, sidestepping the GIL on
-        multi-core hosts (see ``docs/performance.md``).
     flight, slow_threshold_s:
         The query flight recorder (on by default): one structured
         record per query plus a slow-query log promoting queries over
@@ -225,7 +217,6 @@ def connect(
             deadline_s=deadline_s,
             retry=retry,
             degrade=degrade,
-            executor=executor,
             flight=flight,
             slow_threshold_s=slow_threshold_s,
             views=views,

@@ -435,15 +435,6 @@ def build_obs_parser() -> argparse.ArgumentParser:
         "(documents place by URI hash; default: 1)",
     )
     parser.add_argument(
-        "--executor",
-        choices=("thread", "process"),
-        default="thread",
-        help="shard execution mode: 'thread' runs shard plans "
-        "in-process, 'process' dispatches to worker processes per "
-        "shard over the zero-copy attach — the executor "
-        "summary then shows per-worker request/merge counts",
-    )
-    parser.add_argument(
         "--trace", metavar="FILE", help="also write the Chrome trace JSON"
     )
     parser.add_argument(
@@ -500,7 +491,6 @@ def obs_main(argv: list[str]) -> int:
     service = ShardedService(
         Collection(args.shards),
         checked=args.checked,
-        executor=args.executor,
         slow_threshold_s=args.slow_threshold,
     )
     previous_tracer, previous_metrics = get_tracer(), get_metrics()
@@ -548,8 +538,6 @@ def obs_main(argv: list[str]) -> int:
                 Path(args.prometheus).write_text(exposition)
         print(f"-- {len(items)} item(s) [{args.engine}]\n")
         print(summary_report(tracer, metrics, audits))
-        print()
-        print(_executor_report(service.stats()))
         if args.slow:
             print()
             print(_slow_log_report(service.flight))
@@ -561,48 +549,6 @@ def obs_main(argv: list[str]) -> int:
         service.close()
         set_tracer(previous_tracer)
         set_metrics(previous_metrics)
-
-
-def _executor_report(stats: dict) -> str:
-    """The executor-mode section of ``repro obs``: which shard
-    executor served the query and, for process mode, the per-worker
-    request/merge/restart counters — the numbers that make a
-    flat-scaling regression diagnosable from the CLI (a worker with
-    zero merges never contributed; climbing restarts mean the pool is
-    crash-looping)."""
-    executor = stats.get("executor", "thread")
-    lines = [f"== executor ({executor}) =="]
-    procpool = stats.get("procpool")
-    if procpool:
-        lines.append(
-            f"  {len(procpool['workers'])} worker process(es), "
-            f"{procpool['workers_per_shard']} per shard"
-        )
-        for worker in procpool["workers"]:
-            # a worker may be mid-restart when the snapshot was cut:
-            # its pid is None and counter keys may be absent — report
-            # the gap instead of crashing the obs command
-            pid = worker.get("pid")
-            lines.append(
-                f"  {worker.get('worker', '?')}: "
-                f"pid {'-' if pid is None else pid} "
-                f"alive={worker.get('alive', False)} "
-                f"requests {worker.get('requests', 0)} "
-                f"merges {worker.get('merges', 0)} "
-                f"plans_shipped {worker.get('plans_shipped', 0)} "
-                f"restarts {worker.get('restarts', 0)}"
-            )
-    elif executor == "process":
-        lines.append(
-            "  worker pool not started (query was served serially)"
-        )
-    else:
-        lines.append(
-            f"  in-process shard threads over {len(stats['per_shard'])} "
-            "shard(s); registry merges happen in-process "
-            "(no cross-process snapshots)"
-        )
-    return "\n".join(lines)
 
 
 def _slow_log_report(recorder) -> str:
@@ -644,15 +590,6 @@ def build_serve_bench_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--quick", action="store_true",
         help="smoke-test size for --soak: tiny corpus, short load points",
-    )
-    parser.add_argument(
-        "--executor",
-        choices=("thread", "process"),
-        default="thread",
-        help="shard execution mode: 'thread' (default) stays "
-        "in-process, 'process' runs worker processes over the "
-        "zero-copy shard attach (applies to sharded --faults and "
-        "--soak)",
     )
     parser.add_argument(
         "--out",
@@ -703,7 +640,7 @@ def build_serve_bench_parser() -> argparse.ArgumentParser:
         "soak mode (see docs/serving.md)",
         "drive the multi-tenant front door with open-loop Poisson "
         "arrivals across a load-multiplier curve; writes the "
-        "repro.bench.soak/v1 document; exit status 1 when a soak gate "
+        "repro.bench.soak/v2 document; exit status 1 when a soak gate "
         "(knee, fairness, per-tenant fault ledger, differential "
         "byte-identity) fails.  Combine with --faults to run the soak "
         "under chaos injection at --fault-rate",
@@ -725,11 +662,6 @@ def build_serve_bench_parser() -> argparse.ArgumentParser:
         "--load-points", default="0.5,1.0,2.0",
         help="comma-separated offered-load multipliers over each "
         "tenant's contracted rate (default: 0.5,1.0,2.0)",
-    )
-    soak.add_argument(
-        "--working-set-mb", type=float, default=None,
-        help="front-door working-set budget in MiB (process executor "
-        "only): evict cold shard payloads beyond this",
     )
     return parser
 
@@ -771,15 +703,9 @@ def serve_bench_main(argv: list[str]) -> int:
             shards=args.shards,
             documents=args.documents,
             factor=args.factor,
-            executor=args.executor,
             fault_rate=args.fault_rate if args.faults else 0.0,
             fault_seed=args.fault_seed,
             deadline_s=args.deadline,
-            working_set_bytes=(
-                int(args.working_set_mb * 1024 * 1024)
-                if args.working_set_mb is not None
-                else None
-            ),
             tenants=tuple(profiles),
         )
         if args.quick:
@@ -806,7 +732,6 @@ def serve_bench_main(argv: list[str]) -> int:
         deadline_s=args.deadline,
         shards=args.shards,
         documents=args.documents,
-        executor=args.executor,
     )
     report = run_chaos_campaign(config)
     print(format_chaos_report(report))

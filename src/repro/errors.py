@@ -212,18 +212,3 @@ class PoolRetiredError(ServiceError):
 
     code = "repro.service.pool_retired"
 
-
-class WorkerCrash(ServiceError):
-    """A worker process died mid-request (pipe EOF / dead process).
-
-    Transient by construction — the executor has already restarted the
-    worker from the cached payload, so a retry runs against a fresh
-    process — but *organic*: never ``injected``, so crashes stay out of
-    the chaos accounting ledger.
-
-    .. versionchanged:: 1.2
-       Moved here from ``repro.service.procpool`` (which keeps a
-       deprecated re-export shim).
-    """
-
-    code = "repro.service.worker_crash"

@@ -36,8 +36,8 @@ separates latency percentiles for *clean* calls, *degraded* calls
 (served correct answers through the fallback path) and *surfaced*
 errors — the degraded-tail cost of resilience — and verifies that the
 slow-query log captured full diagnostics for every degraded and
-surfaced call.  The report schema is ``repro.faults.campaign/v3``
-(adds ``latency`` and ``slow_log``, see ``docs/schemas.md``).
+surfaced call.  The report schema is ``repro.faults.campaign/v4``
+(see ``docs/schemas.md``).
 """
 
 from __future__ import annotations
@@ -65,7 +65,7 @@ from repro.workloads.queries import COLLECTION_QUERIES
 
 __all__ = ["ChaosConfig", "format_chaos_report", "run_chaos_campaign"]
 
-SCHEMA = "repro.faults.campaign/v3"
+SCHEMA = "repro.faults.campaign/v4"
 
 #: service-level typed errors a chaos run is allowed to surface
 _ALLOWED_ERRORS = ServiceError
@@ -97,11 +97,6 @@ class ChaosConfig:
     shards: int = 1
     documents: int = 4
     collection_query_mix: tuple[str, ...] = ("CX1", "CX2", "CX3", "CX4")
-    #: shard execution mode for sharded-mode storms: ``"process"``
-    #: storms the ProcessShardExecutor, so injected faults cross the
-    #: pipe and the ledger must balance across process boundaries
-    #: (ignored in single mode, which has no shard executor)
-    executor: str = "thread"
 
     def __post_init__(self) -> None:
         unknown = sorted(set(self.collection_query_mix) - set(COLLECTION_QUERIES))
@@ -222,7 +217,6 @@ def _sharded_target(config: ChaosConfig):
         breaker_threshold=config.breaker_threshold,
         breaker_reset_s=config.breaker_reset_s,
         degrade=True,
-        executor=config.executor,
         flight_recorder=config.recorder(),
     )
     return service, texts, oracle
@@ -384,8 +378,7 @@ def format_chaos_report(report: dict[str, Any]) -> str:
     if report.get("mode") == "sharded":
         lines.append(
             f"  sharded mode      : {config['shards']} shards, "
-            f"{config['documents']}-document collection() storm, "
-            f"{config.get('executor', 'thread')} executor"
+            f"{config['documents']}-document collection() storm"
         )
     lines += [
         f"  calls             : {report['calls']}",

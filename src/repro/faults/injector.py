@@ -169,22 +169,6 @@ class FaultCounts:
             self.absorbed[kind] += 1
         get_metrics().count(f"faults.absorbed.{kind}")
 
-    def absorb(
-        self, by_kind: dict[str, int], absorbed: dict[str, int]
-    ) -> None:
-        """Fold a worker process's injection tally into this ledger.
-
-        No metric side effects: the worker already counted its
-        ``faults.injected.*`` / ``faults.absorbed.*`` into its own
-        registry, which merges separately — double counting here would
-        break metrics/ledger agreement.
-        """
-        with self._lock:
-            for kind, count in by_kind.items():
-                self.by_kind[kind] = self.by_kind.get(kind, 0) + count
-            for kind, count in absorbed.items():
-                self.absorbed[kind] = self.absorbed.get(kind, 0) + count
-
     @property
     def total(self) -> int:
         with self._lock:

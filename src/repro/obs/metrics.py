@@ -105,37 +105,6 @@ class Histogram:
     def percentiles(self) -> dict[str, float]:
         return {name: self.quantile(q) for name, q in _QUANTILES}
 
-    # -- marshalling ----------------------------------------------------
-
-    def state(self) -> dict[str, Any]:
-        """Complete internal state as plain builtins — unlike
-        :meth:`summary` this loses nothing: ``from_state`` round-trips
-        to a histogram whose every bucket, bound, and tally is
-        identical, so histograms can cross a process boundary and still
-        merge exactly as if one registry had recorded every sample."""
-        return {
-            "count": self.count,
-            "total": self.total,
-            "min": self.minimum,
-            "max": self.maximum,
-            "underflow": self.underflow,
-            "buckets": dict(self.buckets),
-        }
-
-    @classmethod
-    def from_state(cls, state: dict[str, Any]) -> "Histogram":
-        histogram = cls()
-        histogram.count = int(state["count"])
-        histogram.total = float(state["total"])
-        histogram.minimum = float(state["min"])
-        histogram.maximum = float(state["max"])
-        histogram.underflow = int(state["underflow"])
-        histogram.buckets = {
-            int(index): int(count)
-            for index, count in state["buckets"].items()
-        }
-        return histogram
-
     def summary(self) -> dict[str, float]:
         if not self.count:
             return {
@@ -227,33 +196,6 @@ class MetricsRegistry:
                 for name, histogram in sorted(self.histograms.items())
             },
         }
-
-    def state(self) -> dict[str, Any]:
-        """Lossless plain-builtin state for cross-process transport —
-        the worker side of the pipe.  ``merge_state`` on the receiving
-        registry is bucket-for-bucket equivalent to ``merge`` with the
-        live registry."""
-        return {
-            "counters": dict(self.counters),
-            "gauges": dict(self.gauges),
-            "histograms": {
-                name: histogram.state()
-                for name, histogram in self.histograms.items()
-            },
-        }
-
-    def merge_state(self, state: dict[str, Any]) -> None:
-        """Fold a :meth:`state` dict (typically marshalled from a
-        worker process) into this registry, exactly as :meth:`merge`
-        would fold the registry it was taken from."""
-        for name, value in state["counters"].items():
-            self.count(name, value)
-        self.gauges.update(state["gauges"])
-        for name, histogram_state in state["histograms"].items():
-            mine = self.histograms.get(name)
-            if mine is None:
-                mine = self.histograms[name] = Histogram()
-            mine.merge(Histogram.from_state(histogram_state))
 
     def prefixed(self, prefix: str) -> dict[str, float]:
         """Counters under ``prefix.`` keyed by their last component

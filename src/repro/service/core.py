@@ -3,10 +3,9 @@
 Everything around the execution of a compiled plan is defined here,
 once: the :class:`CacheLadder`, the :func:`resilient_call` loop with
 its :class:`FaultLedger`, the :class:`ServingBoundary` and the
-:class:`MetricsBridge`.  Where a plan executes — a store's pooled
-connections or a worker process — is the executor's concern.
-``docs/serving.md`` ("The serving core") says which decision lives
-where and what stays different per executor.
+:class:`MetricsBridge`.  Running a plan on a store's pooled
+connections is the store executor's concern.  ``docs/serving.md``
+("The serving core") says which decision lives where.
 """
 
 from __future__ import annotations
@@ -30,7 +29,6 @@ from repro.errors import (
     DeadlineExceeded,
     PoolRetiredError,
     ServiceError,
-    WorkerCrash,
 )
 from repro.faults.injector import is_injected
 from repro.infoset.encoding import DocumentStore
@@ -318,8 +316,6 @@ def resilient_call(
     ledger: FaultLedger,
     breaker: CircuitBreaker | None = None,
     last_resort: Callable[[], T] | None = None,
-    caller_degrades: bool = False,
-    what: str = "backend",
 ) -> T:
     """Run one attempt callable, ``call``, under the resilience stack.
 
@@ -329,10 +325,7 @@ def resilient_call(
     anything else is a real bug and propagates.  On exhaustion
     ``last_resort`` answers instead — it is also taken when
     ``breaker`` refuses the call; with none,
-    :class:`BackendUnavailable` is raised, and ``caller_degrades``
-    says the caller answers that with a fallback of its own (the
-    scatter's whole-query serial execution), so the ledger reads
-    ``degrade``.
+    :class:`BackendUnavailable` is raised.
     """
     metrics = get_metrics()
     attempt = 0
@@ -352,7 +345,7 @@ def resilient_call(
                 metrics.count("service.deadline.exceeded")
                 ledger.note(error, "surface")
                 raise
-            except (sqlite3.Error, PoolRetiredError, WorkerCrash) as error:
+            except (sqlite3.Error, PoolRetiredError) as error:
                 if not is_transient(error):
                     raise
                 if breaker is not None:
@@ -379,9 +372,9 @@ def resilient_call(
         # retries are spent: take the last resort, or surface
         metrics.count("service.retry.exhausted")
         if last_resort is None:
-            ledger.note(failure, "degrade" if caller_degrades else "surface")
+            ledger.note(failure, "surface")
             raise BackendUnavailable(
-                f"{what} failure persisted through {retry.max_retries} "
+                f"backend failure persisted through {retry.max_retries} "
                 f"retries: {failure}"
             ) from failure
         try:
@@ -393,7 +386,7 @@ def resilient_call(
         except Exception as fallback_error:
             ledger.note(failure, "surface")
             raise BackendUnavailable(
-                f"{what} kept failing and the degraded path failed too"
+                "backend kept failing and the degraded path failed too"
             ) from fallback_error
         metrics.count("service.degrade.fallbacks")
         ledger.note(failure, "degrade")

@@ -2,8 +2,8 @@
 
 :class:`FrontDoor` is the admission boundary a production deployment
 puts in front of a :class:`~repro.service.ShardedService` (one shard or
-many).  It layers three things on the PR 4 resilience primitives and
-the PR 8 process executor, in admission order:
+many).  It layers three things on the service's resilience
+primitives, in admission order:
 
 1. **Per-tenant quotas** — every tenant (:class:`~repro.service.
    tenancy.TenantSpec`) owns a token bucket; an exhausted bucket
@@ -28,27 +28,17 @@ the PR 8 process executor, in admission order:
 
 A batch records through one :class:`~repro.service.core.MetricsBridge`
 (the same lossless merge the worker pools use) into
-:attr:`FrontDoor.metrics`: the compile phase, every coalesced
-execution and the working-set pass each record into a private
-registry that merges when the step ends.  That is what makes the
+:attr:`FrontDoor.metrics`: the compile phase and every coalesced
+execution each record into a private registry that merges when the
+step ends.  That is what makes the
 **per-tenant fault ledger** possible: the injected / retried /
 degraded / surfaced delta an execution leaves on its registry is
 attributed to the tenant that triggered it, so
 ``injected == retried + degraded + surfaced`` can be asserted per
 tenant, not just globally (``docs/serving.md``).
 
-For corpora larger than RAM, an optional **working-set manager**
-(``working_set_bytes=``) LRU-evicts cold shard payloads: the parent's
-serialized image cache (:meth:`Collection.evict_payload`) and the
-shard's worker processes (:meth:`ProcessShardExecutor.retire_shard`)
-are both released, and the next query against that shard re-attaches
-on demand via the PR 8 ``shard_payload`` cache.  Evictions and
-re-attaches are metered as ``service.frontdoor.evictions`` /
-``service.frontdoor.reattach`` and must balance (every eviction that
-is queried again re-attaches exactly once).
-
-New metric families: ``service.frontdoor.*`` (admission, batching,
-coalescing, eviction counters) and ``service.tenant.<name>.*``
+Metric families: ``service.frontdoor.*`` (admission, batching and
+coalescing counters) and ``service.tenant.<name>.*``
 (per-tenant admission and outcome counters).
 """
 
@@ -68,11 +58,11 @@ from repro.errors import (
     ServiceOverloaded,
 )
 from repro.obs import Histogram, latency_summary_ms
-from repro.obs.metrics import MetricsRegistry, get_metrics
+from repro.obs.metrics import MetricsRegistry
 from repro.pipeline import CompiledQuery
 from repro.result import Result
 from repro.service.core import MetricsBridge
-from repro.service.scatter import ShardedService, scatter_uris
+from repro.service.scatter import ShardedService
 from repro.service.tenancy import TenantSpec, TokenBucket, WeightedFairQueue
 
 __all__ = ["FrontDoor", "TenantSpec"]
@@ -153,92 +143,6 @@ class _TenantState:
             }
 
 
-class _WorkingSet:
-    """LRU working-set manager over the collection's shard-payload
-    cache (process executor only): evicts the coldest resident images
-    when the resident total exceeds the budget, and accounts the
-    eviction/re-attach balance."""
-
-    def __init__(self, service: ShardedService, budget_bytes: int):
-        if budget_bytes <= 0:
-            raise ValueError(
-                f"working_set_bytes must be positive, got {budget_bytes}"
-            )
-        self.budget_bytes = budget_bytes
-        self._service = service
-        self._lock = threading.Lock()
-        self._tick = 0
-        self._stamps: dict[int, int] = {}
-        self._evicted: set[int] = set()
-        self.evictions = 0
-        self.reattached = 0
-
-    def after_batch(self, touched: set[int]) -> None:
-        """Called once per executed batch with the shards the batch
-        scattered/routed to: refresh recency, settle the re-attach
-        ledger, and evict back under budget."""
-        collection = self._service.collection
-        metrics = get_metrics()
-        with self._lock:
-            self._tick += 1
-            for shard in touched:
-                self._stamps[shard] = self._tick
-            stats = collection.payload_stats()
-            per_shard = stats["per_shard"]
-            # a previously evicted shard that is resident again was
-            # re-attached on demand (shard_payload rebuilt the image)
-            for shard in sorted(self._evicted):
-                if per_shard[shard]["resident"]:
-                    self._evicted.discard(shard)
-                    self.reattached += 1
-                    metrics.count("service.frontdoor.reattach")
-            resident = [
-                (self._stamps.get(entry["shard"], -1), entry["shard"], entry["bytes"])
-                for entry in per_shard
-                if entry["resident"]
-            ]
-            total = sum(nbytes for _, _, nbytes in resident)
-            views = self._service.views
-            if views is not None:
-                # materialized views share the residency budget and are
-                # the cheapest residency to rebuild (one re-execution
-                # vs a full shard re-shred): shed them first
-                total += views.bytes
-                if total > self.budget_bytes:
-                    freed = views.evict_bytes(total - self.budget_bytes)
-                    if freed:
-                        metrics.count("service.frontdoor.view_evictions")
-                    total -= freed
-            if total <= self.budget_bytes:
-                return
-            resident.sort()  # coldest stamp first
-            for _, shard, nbytes in resident:
-                if total <= self.budget_bytes:
-                    break
-                freed = collection.evict_payload(shard)
-                if not freed:
-                    continue
-                with self._service._procpool_lock:
-                    procpool = self._service._procpool
-                if procpool is not None:
-                    procpool.retire_shard(shard)
-                self._evicted.add(shard)
-                self.evictions += 1
-                metrics.count("service.frontdoor.evictions")
-                total -= freed
-
-    def stats(self) -> dict[str, Any]:
-        with self._lock:
-            payload = self._service.collection.payload_stats()
-            return {
-                "budget_bytes": self.budget_bytes,
-                "resident_bytes": payload["resident_bytes"],
-                "evictions": self.evictions,
-                "reattached": self.reattached,
-                "pending_reattach": sorted(self._evicted),
-            }
-
-
 class FrontDoor:
     """Async multi-tenant admission layer over a serving stack.
 
@@ -255,9 +159,6 @@ class FrontDoor:
         the service, which fans out internally) — the door's one
         concurrency bound.  A batch forms when a slot frees and takes
         whatever is queued, up to :data:`BATCH_MAX`.
-    working_set_bytes:
-        Optional RAM budget for the shard-payload working set (only
-        meaningful for a sharded service on the process executor).
     deadline_s:
         Default per-query deadline forwarded to the service.
     clock:
@@ -270,7 +171,6 @@ class FrontDoor:
         tenants: Sequence[TenantSpec],
         *,
         max_concurrent_batches: int = 4,
-        working_set_bytes: int | None = None,
         deadline_s: float | None = None,
         clock=time.monotonic,
     ):
@@ -294,15 +194,6 @@ class FrontDoor:
             self._wfq.register(
                 spec.name, weight=spec.weight, max_backlog=spec.max_backlog
             )
-        self._working_set: _WorkingSet | None = None
-        if working_set_bytes is not None:
-            if service.executor != "process":
-                raise ValueError(
-                    "working_set_bytes requires a ShardedService with "
-                    "executor='process' (the payload cache is the "
-                    "working set being managed)"
-                )
-            self._working_set = _WorkingSet(service, working_set_bytes)
         self._started = False
         self._closing = False
         self._wake: asyncio.Event | None = None
@@ -472,13 +363,9 @@ class FrontDoor:
             metrics.count("service.frontdoor.batches")
             metrics.count("service.frontdoor.batched", len(batch))
             groups = self._coalesce(batch, metrics)
-        touched: set[int] = set()
         for group in groups:
             with bridge.scope() as local:
-                touched |= self._execute_group(group, local)
-        if self._working_set is not None:
-            with bridge.scope():
-                self._working_set.after_batch(touched)
+                self._execute_group(group, local)
 
     def _coalesce(
         self, batch: list[_Request], metrics: MetricsRegistry
@@ -509,13 +396,10 @@ class FrontDoor:
             group.requests.append(request)
         return [groups[key] for key in order]
 
-    def _execute_group(
-        self, group: _Group, local: MetricsRegistry
-    ) -> set[int]:
+    def _execute_group(self, group: _Group, local: MetricsRegistry) -> None:
         """One coalesced execution recording into its private registry
         ``local``; the fault ledger delta is attributed to the leading
-        tenant.  Returns the shards the execution touched (working-set
-        recency)."""
+        tenant."""
         leader = group.requests[0]
         result: Result | None = None
         error: BaseException | None = None
@@ -533,13 +417,11 @@ class FrontDoor:
         local.count("service.frontdoor.executions")
         for request in group.requests:
             self._resolve(request, result=result, error=error)
-        return self._touched_shards(group.compiled)
 
     def _attribute(self, tenant: str, local: MetricsRegistry) -> None:
         """Read the execution's fault tallies off its private registry
         into the tenant's ledger — injection and handling both count on
-        the executing thread (and worker deltas merge back into it), so
-        the attribution is lossless."""
+        the executing thread, so the attribution is lossless."""
         counters = local.snapshot()["counters"]
         injected = sum(
             int(value)
@@ -565,19 +447,6 @@ class FrontDoor:
         ):
             if value:
                 local.count(f"service.tenant.{tenant}.faults.{name}", value)
-
-    def _touched_shards(self, compiled: CompiledQuery) -> set[int]:
-        if self._working_set is None:
-            return set()
-        uris = scatter_uris(compiled.core)
-        if uris is None:
-            return set()
-        collection = self.service.collection
-        return {
-            collection.entry(uri).shard
-            for uri in uris
-            if uri in collection
-        }
 
     def _resolve(
         self,
@@ -632,11 +501,6 @@ class FrontDoor:
             },
             "queue": queue,
             "inflight_batches": len(self._batches),
-            "working_set": (
-                self._working_set.stats()
-                if self._working_set is not None
-                else None
-            ),
             "counters": {
                 name: value
                 for name, value in counters.items()

@@ -40,7 +40,6 @@ from repro.errors import (
     CircuitOpenError,
     DeadlineExceeded,
     PoolRetiredError,
-    WorkerCrash,
 )
 from repro.obs import get_metrics
 
@@ -199,8 +198,8 @@ _CONNECTION_DEATH_MARKERS = ("connection died", "closed database")
 
 def is_transient(error: BaseException) -> bool:
     """Is ``error`` worth retrying (bounded, with backoff)?  A retired
-    pool is rebuilt and a crashed worker restarted before the retry."""
-    if isinstance(error, (PoolRetiredError, WorkerCrash)):
+    pool is rebuilt before the retry."""
+    if isinstance(error, PoolRetiredError):
         return True
     if isinstance(error, (sqlite3.OperationalError, sqlite3.ProgrammingError)):
         message = str(error).lower()

@@ -41,10 +41,9 @@ resilient call come from the serving core (:mod:`repro.service.core`),
 and each shard plan runs on that shard's
 :class:`~repro.service.service.StoreExecutor` (the query's one
 deadline spans the fan-out; retries, breaker and degradation apply per
-store) or, with ``executor="process"``, on a worker process under the
-same resilient call.  When a shard still fails with degradation
-enabled the whole query falls back to the serial path — partial
-results are never returned.
+store).  When a shard still fails with degradation enabled the whole
+query falls back to the serial path — partial results are never
+returned; a spent deadline surfaces as it is.
 """
 
 from __future__ import annotations
@@ -65,21 +64,19 @@ from repro.analysis.containment import (
     filter_pattern,
 )
 from repro.engines import Engine
-from repro.errors import ServiceError
+from repro.errors import DeadlineExceeded, ServiceError
 from repro.infoset.encoding import DocumentStore
 from repro.obs import get_metrics, get_tracer
 from repro.obs.flight import FlightContext, FlightRecorder, current_context
 from repro.pipeline import CompiledQuery, XQueryProcessor
 from repro.result import Result, Serialized
-from repro.service.cache import CacheKey, CacheStats
+from repro.service.cache import CacheStats
 from repro.service.core import (
     CacheLadder,
     FaultLedger,
     MetricsBridge,
     ServingBoundary,
-    resilient_call,
 )
-from repro.service.procpool import ProcessShardExecutor, ShippedPlan
 from repro.service.resilience import CircuitBreaker, Deadline, RetryPolicy
 from repro.service.service import StoreExecutor
 from repro.store import Collection
@@ -95,18 +92,6 @@ from repro.xquery.core import (
 from repro.xquery.normalize import CollectionResolver
 
 __all__ = ["ShardedService", "scatter_uris"]
-
-
-def _remaining(deadline: Deadline | None) -> float | None:
-    """The budget to hand a downstream call.  Raises the typed
-    :class:`DeadlineExceeded` when the fan-out has already spent the
-    deadline — a non-positive budget must never reach a service entry
-    point (it would be rejected as a :class:`ValueError`).  The floor
-    covers the instant between the check and the reading."""
-    if deadline is None:
-        return None
-    deadline.check()
-    return max(deadline.remaining(), 1e-9)
 
 
 class _FreeVariable(Exception):
@@ -243,18 +228,7 @@ class ShardedService:
         Thread-pool width for :meth:`submit` / :meth:`run_many`
         (:meth:`execute` runs on the caller's thread and is safe to
         call from many; :func:`repro.connect` passes 4).  Each shard's
-        dispatch width — parallel fan-out threads, and worker processes
-        with ``executor="process"`` — is ``max(1, workers // shards)``.
-    executor:
-        ``"thread"`` (default) runs each shard plan on the shard's
-        in-process pooled connections; ``"process"`` dispatches to a
-        :class:`~repro.service.procpool.ProcessShardExecutor` — long-
-        lived worker *processes* per shard, each holding its own SQLite
-        connection over a zero-copy attach of the shard image and
-        executing pre-lowered shipped SQL on an independent
-        interpreter.  Threads stay the right choice for single-shard
-        stores and tiny corpora where the serialize/spawn cost
-        outweighs the GIL win; see ``docs/performance.md``.
+        parallel fan-out dispatch width is ``max(1, workers // shards)``.
     cache_capacity:
         Compiled-plan LRU size (collection-level plans and their shard
         variants).
@@ -274,8 +248,9 @@ class ShardedService:
         ``breaker_reset_s`` seconds) apply per store.  With
         ``degrade`` a store that cannot answer falls back to a fresh
         uncached compile on a fresh backend, and a failed shard of a
-        scatter to whole-query serial execution; without it the typed
-        error surfaces.  Never a stale or partial result either way.
+        scatter to whole-query serial execution (unless the deadline is
+        spent); without it the typed error surfaces.  Never a stale or
+        partial result either way.
     flight, flight_recorder, slow_threshold_s:
         The query flight recorder (:mod:`repro.obs.flight`) — on by
         default, one :class:`FlightRecord` per query, with a slow-query
@@ -310,7 +285,6 @@ class ShardedService:
         breaker_threshold: int = 8,
         breaker_reset_s: float = 0.25,
         degrade: bool = True,
-        executor: str = "thread",
         flight: bool = True,
         flight_recorder: FlightRecorder | None = None,
         slow_threshold_s: float = 0.25,
@@ -320,10 +294,6 @@ class ShardedService:
     ):
         if workers <= 0:
             raise ValueError("workers must be positive")
-        if executor not in ("thread", "process"):
-            raise ValueError(
-                f"executor must be 'thread' or 'process', got {executor!r}"
-            )
         if collection is None:
             collection = Collection(shards if shards is not None else 1)
         elif shards is not None and shards != collection.shards:
@@ -337,12 +307,11 @@ class ShardedService:
         self.deadline_s = deadline_s
         self.retry = retry if retry is not None else RetryPolicy()
         self.degrade_enabled = degrade
-        self.executor = executor
-        # process workers sidestep the GIL, so concurrent dispatch pays
-        # off whenever the host has cores to run them on; thread
-        # fan-out on a single core is pure scheduling cost — the
-        # per-shard cost reduction (smaller tables, shorter membership
-        # predicates) survives sequential dispatch intact
+        # concurrent dispatch pays off whenever the host has cores to
+        # run SQLite on (it releases the GIL); thread fan-out on a
+        # single core is pure scheduling cost — the per-shard cost
+        # reduction (smaller tables, shorter membership predicates)
+        # survives sequential dispatch intact
         self.parallel_fanout = (os.cpu_count() or 1) > 1
         self._dispatch_width = max(1, workers // collection.shards)
         # the compile-side processor: bound to an empty store (compiled
@@ -383,8 +352,8 @@ class ShardedService:
             breaker_state=self._breaker_state,
         )
         self.flight = self._boundary.recorder
-        # the parent owns every retry/degrade/surface decision, also
-        # for worker-raised faults: one ledger for every executor
+        # one ledger for every store executor's retry/degrade/surface
+        # decisions
         self._ledger = FaultLedger()
         self._indexes = indexes
         self._cached_statements = cached_statements
@@ -401,9 +370,8 @@ class ShardedService:
             self._executors[0] if collection.shards == 1 else None
         )
         self._serial_lock = threading.Lock()
-        # fan-out, worker-pool and process-executor state, all lazy
-        self._procpool: ProcessShardExecutor | None = None
-        self._procpool_lock = threading.Lock()
+        # fan-out and worker-pool state, both lazy, under one lock
+        self._lifecycle_lock = threading.Lock()
         self._dispatch: dict[int, ThreadPoolExecutor] = {}
         self._worker_pool: ThreadPoolExecutor | None = None
         self._merge_lock = threading.Lock()
@@ -505,9 +473,9 @@ class ShardedService:
 
     def _variant(
         self, compiled: CompiledQuery, scope: str, executor: StoreExecutor
-    ) -> tuple[CompiledQuery, CacheKey]:
+    ) -> CompiledQuery:
         """The plan of ``compiled`` re-resolved on ``executor``'s store
-        (``scope`` names it in the cache key), and its key.  Variants
+        (``scope`` names it in the cache key).  Variants
         are cached like any compiled plan and compile single-flight on
         the executor's own processor."""
         key = self._ladder.key(compiled.source)._replace(
@@ -520,12 +488,12 @@ class ShardedService:
                 if variant is None:
                     variant = executor.compile(compiled.source)
                     self.cache.put(key, variant)
-        return variant, key
+        return variant
 
     def _shard_plan(
         self, compiled: CompiledQuery, shards: Sequence[int], shard: int
-    ) -> tuple[CompiledQuery, CacheKey]:
-        """The plan ``shard`` runs, and its key.
+    ) -> CompiledQuery:
+        """The plan ``shard`` runs.
 
         A routed query (one hosting shard) runs the collection-level
         plan as compiled: that shard hosts every URI the plan names,
@@ -540,7 +508,7 @@ class ShardedService:
         per-shard table scans.
         """
         if len(shards) == 1:
-            return compiled, self._ladder.key(compiled.source)
+            return compiled
         return self._variant(compiled, str(shard), self._executors[shard])
 
     # -- execution -----------------------------------------------------
@@ -627,7 +595,7 @@ class ShardedService:
         variant."""
         serial = self._serial()
         if engine not in Engine.sql_engines():
-            compiled, _ = self._variant(compiled, "serial", serial)
+            compiled = self._variant(compiled, "serial", serial)
         return serial.run(compiled, engine, deadline)
 
     def _breaker_state(self) -> str:
@@ -663,23 +631,16 @@ class ShardedService:
         tracer = get_tracer()
         if not shards:
             return [], 0
-        _remaining(deadline)  # a spent budget surfaces before any dispatch
+        if deadline is not None:
+            deadline.check()  # a spent budget surfaces before any dispatch
         # the plans compile here, on this thread, not on a dispatch
-        # thread next to a SQLite connection; what runs one shard is
-        # chosen once, from the executor — how the shards are visited
-        # (routed, sequential, parallel) is not its concern
+        # thread next to a SQLite connection
         plans = {
             shard: self._shard_plan(compiled, shards, shard) for shard in shards
         }
-        run: Callable[[int], list[int]]
-        if self.executor == "process":
-            run = partial(self._process_execute, plans, engine, deadline)
-        else:
 
-            def run(shard: int) -> list[int]:
-                return self._executors[shard].run(
-                    plans[shard][0], engine, deadline
-                )
+        def run(shard: int) -> list[int]:
+            return self._executors[shard].run(plans[shard], engine, deadline)
 
         with tracer.span(
             "service.scatter", engine=engine.value, shards=len(shards)
@@ -696,8 +657,8 @@ class ShardedService:
 
             pending: list[Callable[[], list[int]]]
             if self.parallel_fanout:
-                # dispatch threads mostly wait — on SQLite with the GIL
-                # released, or on a worker process's pipe
+                # dispatch threads mostly wait on SQLite with the GIL
+                # released
                 pending = [
                     self._dispatch_pool(shard)
                     .submit(MetricsBridge(self._merge_lock).run, run, shard)
@@ -713,13 +674,16 @@ class ShardedService:
                     items = wait()
                 except ServiceError as error:
                     get_metrics().count("service.scatter.shard_failures")
-                    if failure is None:
+                    # a spent deadline outranks any other shard failure
+                    if failure is None or isinstance(error, DeadlineExceeded):
                         failure = error
                     continue
                 if failure is None:
                     per_shard.append(self.collection.to_global(shard, items))
             if failure is not None:
-                if not self.degrade_enabled:
+                # a spent deadline has no budget left to degrade on
+                spent = isinstance(failure, DeadlineExceeded)
+                if spent or not self.degrade_enabled:
                     raise failure
                 # partial answers are never merged: degrade to full
                 # serial execution against the combined store
@@ -737,23 +701,11 @@ class ShardedService:
                 deadline.check()
             return merged, merge_ns
 
-    # -- process executor ----------------------------------------------
-
-    def _process_pool(self) -> ProcessShardExecutor:
-        with self._procpool_lock:
-            if self._procpool is None:
-                self._procpool = ProcessShardExecutor(
-                    self.collection.shards,
-                    workers_per_shard=self._dispatch_width,
-                    cached_statements=self._cached_statements,
-                )
-            return self._procpool
-
     def _dispatch_pool(self, shard: int) -> ThreadPoolExecutor:
-        """The shard's parent-side dispatch threads for a parallel
-        fan-out (either executor).  Per shard, so a shard's pooled
-        SQLite connections stay with the same few threads."""
-        with self._procpool_lock:
+        """The shard's dispatch threads for a parallel fan-out.  Per
+        shard, so a shard's pooled SQLite connections stay with the
+        same few threads."""
+        with self._lifecycle_lock:
             pool = self._dispatch.get(shard)
             if pool is None:
                 pool = self._dispatch[shard] = ThreadPoolExecutor(
@@ -761,52 +713,6 @@ class ShardedService:
                     thread_name_prefix=f"repro-dispatch-{shard}",
                 )
             return pool
-
-    def _process_execute(
-        self,
-        plans: dict[int, tuple[CompiledQuery, CacheKey]],
-        engine: Engine,
-        deadline: Deadline | None,
-        shard: int,
-    ) -> list[int]:
-        """One shard execution on the process executor under the
-        parent-side resilient call.  The plan ships keyed by the same
-        cache key the compiled-plan cache uses, so the worker's plan
-        cache and the parent's stay in lockstep.  No breaker: the
-        worker owns exactly one connection and a crash is already
-        handled by restart-and-retry.  No last resort here either:
-        exhaustion raises :class:`BackendUnavailable` and
-        :meth:`_scatter` answers it with the whole-query serial
-        fallback."""
-        compiled, key = plans[shard]
-        sql = compiled.sql_for(engine)
-        plan = ShippedPlan(
-            key=(key, engine.value),
-            sql_text=sql.text,
-            item_index=sql.select_aliases.index(sql.item_alias),
-        )
-        store = self.collection.stores[shard]
-        executor = self._process_pool()
-
-        def attempt() -> list[int]:
-            return executor.execute(
-                shard,
-                plan,
-                version=store.version,
-                payload=lambda: self.collection.shard_payload(
-                    shard, self._indexes
-                ),
-                budget_s=_remaining(deadline),
-            )
-
-        return resilient_call(
-            attempt,
-            retry=self.retry,
-            deadline=deadline,
-            ledger=self._ledger,
-            caller_degrades=self.degrade_enabled,
-            what=f"shard {shard} worker",
-        )
 
     def _serial(self) -> StoreExecutor:
         """The serial executor over the combined store, built lazily
@@ -846,7 +752,7 @@ class ShardedService:
         """Schedule one query on the ``workers``-wide pool; returns its
         future.  The submitting thread's metrics scope and flight
         context travel with it (:class:`MetricsBridge`)."""
-        with self._procpool_lock:
+        with self._lifecycle_lock:
             if self._closed:
                 raise RuntimeError("query service is closed")
             if self._worker_pool is None:
@@ -894,9 +800,8 @@ class ShardedService:
     @property
     def fault_accounting(self) -> dict[str, int]:
         """Injected-fault dispositions (``retry`` / ``degrade`` /
-        ``surface``) across every store executor and the worker
-        processes — the ledger side of the ``injected == retried +
-        degraded + surfaced`` invariant."""
+        ``surface``) across every store executor — the ledger side of
+        the ``injected == retried + degraded + surfaced`` invariant."""
         return self._ledger.snapshot()
 
     def cache_stats(self) -> CacheStats:
@@ -927,8 +832,6 @@ class ShardedService:
             )
         with self._serial_lock:
             serial = self._serial_executor is not None
-        with self._procpool_lock:
-            procpool = self._procpool
         return {
             "workers": self.workers,
             "collection": placement,
@@ -943,36 +846,28 @@ class ShardedService:
                 "degrade": self.degrade_enabled,
             },
             "fault_accounting": self.fault_accounting,
-            "executor": self.executor,
-            "procpool": procpool.stats() if procpool is not None else None,
             "per_shard": per_shard,
         }
 
     def close(self) -> None:
         """Drain the worker pool and the dispatch threads, then close
-        every store executor and the worker processes."""
-        with self._procpool_lock:
+        every store executor."""
+        with self._lifecycle_lock:
             self._closed = True
             pool, self._worker_pool = self._worker_pool, None
-            procpool, self._procpool = self._procpool, None
             dispatch, self._dispatch = self._dispatch, {}
         if pool is not None:
             pool.shutdown(wait=True)
         # threads first, so no connection is closed under a running
-        # statement; a thread blocked on a worker's pipe is not waited
-        # for — closing the process pool below unblocks it
+        # statement
         for threads in dispatch.values():
-            threads.shutdown(
-                wait=self.executor == "thread", cancel_futures=True
-            )
+            threads.shutdown(wait=True, cancel_futures=True)
         with self._serial_lock:
             serial, self._serial_executor = self._serial_executor, None
         for executor in self._executors:
             executor.close()
         if serial is not None:
             serial.close()  # a no-op when it is the one shard's executor
-        if procpool is not None:
-            procpool.close()
 
     def __enter__(self) -> "ShardedService":
         return self

@@ -273,26 +273,12 @@ class ViewManager:
         view = self._views.pop(key)
         self._bytes -= view.nbytes
 
-    def _evict_lru(self) -> int:
-        key = next(iter(self._views))
-        freed = self._views[key].nbytes
-        self._drop(key)
+    def _evict_lru(self) -> None:
+        self._drop(next(iter(self._views)))
         self.evictions += 1
         metrics = get_metrics()
         metrics.count("service.views.evicted")
         metrics.gauge("service.views.bytes", self._bytes)
-        return freed
-
-    def evict_bytes(self, wanted: int) -> int:
-        """Shed least-recently-used views until at least ``wanted``
-        bytes are freed (or no views remain); returns bytes freed.
-        The working-set manager calls this under memory pressure —
-        views are the cheapest residency to rebuild."""
-        freed = 0
-        with self._lock:
-            while self._views and freed < wanted:
-                freed += self._evict_lru()
-        return freed
 
     def invalidate(self, store_version: int | None = None) -> int:
         """Drop views (and all derived heat/memo state) that were not

@@ -140,39 +140,6 @@ class SQLiteBackend:
         cur.execute("COMMIT")
         cur.execute("ANALYZE")
 
-    # -- zero-copy transport -------------------------------------------
-
-    def serialize(self) -> bytes:
-        """The loaded database — table, Table 6 indexes, ANALYZE
-        statistics — as one flat byte string (SQLite's native
-        serialization).  A worker process :meth:`from_serialized`'s the
-        bytes straight into its own connection: no XML re-parse, no
-        re-insert, no index rebuild."""
-        with get_tracer().span("sql.serialize"):
-            start = time.perf_counter_ns()
-            data = self.connection.serialize()
-            get_metrics().observe(
-                "sql.serialize_ns", time.perf_counter_ns() - start
-            )
-        return data
-
-    @classmethod
-    def from_serialized(
-        cls, data: bytes, *, cached_statements: int = 256
-    ) -> "SQLiteBackend":
-        """A backend attached to a database image produced by
-        :meth:`serialize` — the zero-copy shard attach: SQLite adopts
-        the byte string as the database file in place of parsing and
-        loading rows."""
-        backend = cls(None, load=False, cached_statements=cached_statements)
-        with get_tracer().span("sql.deserialize"):
-            start = time.perf_counter_ns()
-            backend.connection.deserialize(data)
-            get_metrics().observe(
-                "sql.deserialize_ns", time.perf_counter_ns() - start
-            )
-        return backend
-
     # -- execution -----------------------------------------------------
 
     def _execute_timed(
@@ -214,15 +181,6 @@ class SQLiteBackend:
         ``item`` output column, in result order)."""
         item_index = query.select_aliases.index(query.item_alias)
         rows = self._execute_timed("sql.run", query.text)
-        return [row[item_index] for row in rows]
-
-    def run_shipped(self, sql_text: str, item_index: int) -> list[Value]:
-        """Execute a shipped plan rendering — the SQL text plus the
-        item column's SELECT-list position — as :meth:`run` would
-        execute the :class:`SQLQuery` it came from.  This is the worker
-        process entry point: the plan was compiled (and its item column
-        resolved) parent-side, so only plain builtins cross the pipe."""
-        rows = self._execute_timed("sql.run", sql_text)
         return [row[item_index] for row in rows]
 
     def run_raw(self, sql: str, params: Sequence = ()) -> list[tuple]:

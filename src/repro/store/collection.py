@@ -81,13 +81,6 @@ class Collection:
         self._global_roots: list[int] | None = None
         self._next_global = 0
         self._version = 0
-        #: shard -> ((store version, index key), serialized DB bytes)
-        self._payloads: dict[int, tuple[tuple[int, Any], bytes]] = {}
-        #: working-set accounting over the payload cache: how many
-        #: times each shard's image was (re)built, and how many times a
-        #: resident image was evicted (``evict_payload``)
-        self._payload_builds: list[int] = [0] * shards
-        self._payload_evictions: list[int] = [0] * shards
 
     # -- loading -----------------------------------------------------------
 
@@ -233,72 +226,6 @@ class Collection:
                 )
         raise DocumentError(f"global pre rank {global_pre} not in any document")
 
-    # -- process transport -------------------------------------------------
-
-    def shard_payload(
-        self, shard: int, indexes: dict[str, tuple[str, ...]] | None = None
-    ) -> bytes:
-        """The shard's fully loaded, fully indexed ``doc`` database as
-        one byte string (:meth:`SQLiteBackend.serialize`), cached per
-        store version: the shard is shredded and indexed exactly once
-        no matter how many worker processes attach to it, and workers
-        adopt the bytes via ``deserialize`` without re-parsing XML.
-        """
-        if not 0 <= shard < self.shards:
-            raise ValueError(
-                f"shard {shard} out of range for {self.shards} shards"
-            )
-        # lazy import: store must not depend on sql at module load
-        from repro.sql.backend import SQLiteBackend
-
-        store = self.stores[shard]
-        key = (store.version, _index_key(indexes))
-        cached = self._payloads.get(shard)
-        if cached is not None and cached[0] == key:
-            return cached[1]
-        with SQLiteBackend(store.table, indexes) as backend:
-            payload = backend.serialize()
-        self._payloads[shard] = (key, payload)
-        self._payload_builds[shard] += 1
-        return payload
-
-    def evict_payload(self, shard: int) -> int:
-        """Drop the shard's cached serialized image (working-set
-        eviction for corpora larger than RAM); returns the bytes freed
-        (0 when nothing was resident).  The next :meth:`shard_payload`
-        call rebuilds the image from the shard table on demand."""
-        if not 0 <= shard < self.shards:
-            raise ValueError(
-                f"shard {shard} out of range for {self.shards} shards"
-            )
-        cached = self._payloads.pop(shard, None)
-        if cached is None:
-            return 0
-        self._payload_evictions[shard] += 1
-        return len(cached[1])
-
-    def payload_stats(self) -> dict[str, Any]:
-        """JSON-ready working-set view of the payload cache: per-shard
-        residency, bytes, build and eviction counts, plus totals."""
-        per_shard = []
-        for shard in range(self.shards):
-            cached = self._payloads.get(shard)
-            per_shard.append(
-                {
-                    "shard": shard,
-                    "resident": cached is not None,
-                    "bytes": len(cached[1]) if cached is not None else 0,
-                    "builds": self._payload_builds[shard],
-                    "evictions": self._payload_evictions[shard],
-                }
-            )
-        return {
-            "resident_bytes": sum(entry["bytes"] for entry in per_shard),
-            "builds": sum(self._payload_builds),
-            "evictions": sum(self._payload_evictions),
-            "per_shard": per_shard,
-        }
-
     # -- serial view -------------------------------------------------------
 
     def combined_store(self) -> DocumentStore:
@@ -356,11 +283,3 @@ class Collection:
             ],
         }
 
-
-def _index_key(
-    indexes: dict[str, tuple[str, ...]] | None,
-) -> tuple[tuple[str, tuple[str, ...]], ...] | None:
-    """Hashable identity of an index set (``None`` = Table 6 default)."""
-    if indexes is None:
-        return None
-    return tuple(sorted(indexes.items()))

@@ -36,7 +36,7 @@ then — faults off — re-executes each sampled query on a bare serial
 asserts byte-identical serialization.  Chaos may slow answers;
 it must never change them.
 
-Emits ``repro.bench.soak/v1`` (``docs/schemas.md``); the CLI entry is
+Emits ``repro.bench.soak/v2`` (``docs/schemas.md``); the CLI entry is
 ``repro serve-bench --soak``.
 """
 
@@ -67,7 +67,7 @@ __all__ = [
     "run_soak",
 ]
 
-SCHEMA = "repro.bench.soak/v1"
+SCHEMA = "repro.bench.soak/v2"
 
 
 @dataclass(frozen=True)
@@ -146,7 +146,6 @@ class SoakConfig:
     shards: int = 2
     documents: int = 4
     factor: float = 0.005
-    executor: str = "thread"
     #: overall chaos rate (:meth:`FaultPlan.uniform`); 0 disables
     fault_rate: float = 0.0
     fault_seed: int = 0
@@ -154,7 +153,6 @@ class SoakConfig:
     #: fraction of OK responses sampled for the differential gate
     differential_rate: float = 0.01
     max_differential_samples: int = 64
-    working_set_bytes: int | None = None
     tenants: tuple[TenantProfile, ...] = DEFAULT_TENANTS
 
     def __post_init__(self) -> None:
@@ -293,7 +291,6 @@ async def _run_point(
     async with FrontDoor(
         service,
         [profile.spec() for profile in config.tenants],
-        working_set_bytes=config.working_set_bytes,
         deadline_s=config.deadline_s,
     ) as door:
         await asyncio.gather(
@@ -354,7 +351,6 @@ async def _run_point(
         "frontdoor": {
             "queue": door_stats["queue"],
             "counters": door_stats["counters"],
-            "working_set": door_stats["working_set"],
         },
     }
 
@@ -424,7 +420,7 @@ def _find_knee(curve: Sequence[dict[str, Any]]) -> dict[str, Any]:
 
 
 def run_soak(config: SoakConfig | None = None) -> dict[str, Any]:
-    """Run the soak curve; returns the ``repro.bench.soak/v1`` report."""
+    """Run the soak curve; returns the ``repro.bench.soak/v2`` report."""
     cfg = config or SoakConfig()
     corpus = CorpusConfig(
         documents=cfg.documents, factor=cfg.factor, seed=cfg.seed
@@ -434,7 +430,6 @@ def run_soak(config: SoakConfig | None = None) -> dict[str, Any]:
     curve: list[dict[str, Any]] = []
     with ShardedService(
         Collection(cfg.shards),
-        executor=cfg.executor,
         deadline_s=cfg.deadline_s,
     ) as service:
         for text, uri in texts:
@@ -485,7 +480,6 @@ def run_soak(config: SoakConfig | None = None) -> dict[str, Any]:
             "shards": cfg.shards,
             "documents": cfg.documents,
             "factor": cfg.factor,
-            "executor": cfg.executor,
             "deadline_s": cfg.deadline_s,
             "fault_rate": cfg.fault_rate,
             "fault_seed": cfg.fault_seed,

@@ -1,5 +1,5 @@
-"""The pattern membership oracle (:func:`filter_pattern` /
-:func:`pattern_selects`) against the reference pattern evaluator.
+"""The pattern membership oracle (:func:`filter_pattern`) against the
+reference pattern evaluator.
 
 The view tier's residual filter re-checks a candidate row through the
 ancestor-chain membership oracle instead of evaluating the pattern
@@ -19,7 +19,6 @@ from repro.analysis.containment import (
     evaluate_pattern,
     extract_pattern,
     filter_pattern,
-    pattern_selects,
 )
 from repro.infoset import DocumentStore
 from repro.xquery import normalize, parse_xquery
@@ -50,10 +49,15 @@ def test_filter_matches_reference_evaluator(seed):
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_selects_agrees_per_node(seed):
+    """One candidate at a time — the shape a sparse per-shard residual
+    filter call takes: membership never depends on the other
+    candidates."""
     pattern, table = _pattern_and_table(seed)
     selected = set(evaluate_pattern(pattern, table))
     for pre in range(len(table)):
-        assert pattern_selects(pattern, table, pre) == (pre in selected)
+        assert filter_pattern(pattern, table, [pre]) == (
+            [pre] if pre in selected else []
+        )
 
 
 def test_filter_preserves_candidate_order_and_subset():

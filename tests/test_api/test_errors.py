@@ -28,7 +28,6 @@ PUBLIC_ERRORS = [
     errors.CircuitOpenError,
     errors.BackendUnavailable,
     errors.PoolRetiredError,
-    errors.WorkerCrash,
 ]
 
 
@@ -55,7 +54,7 @@ def test_codes_are_unique_across_the_hierarchy():
 
 def test_instances_carry_the_class_code():
     assert errors.DeadlineExceeded("late").code == "repro.service.deadline"
-    assert errors.WorkerCrash("gone").code == "repro.service.worker_crash"
+    assert errors.PoolRetiredError("gone").code == "repro.service.pool_retired"
 
 
 def test_sanitizer_error_refines_the_class_code_per_instance():

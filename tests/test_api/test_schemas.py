@@ -13,10 +13,10 @@ from pathlib import Path
 
 SCHEMAS = (
     "repro.bench.table9/v3",
-    "repro.faults.campaign/v3",
+    "repro.faults.campaign/v4",
     "repro.obs.metrics/v1",
     "repro.obs.flight/v1",
-    "repro.bench.soak/v1",
+    "repro.bench.soak/v2",
 )
 
 _LATENCY_KEYS = {"count", "mean", "p50", "p90", "p95", "p99", "max"}
@@ -48,11 +48,11 @@ def test_bench_table9_v3():
     _json_ready(doc)
 
 
-# -- repro.faults.campaign/v3 ----------------------------------------------
+# -- repro.faults.campaign/v4 ----------------------------------------------
 
 
 def _check_campaign(report: dict) -> None:
-    assert report["schema"] == "repro.faults.campaign/v3"
+    assert report["schema"] == "repro.faults.campaign/v4"
     contract = report["contract"]
     assert contract["holds"] is True
     faults = report["faults"]
@@ -65,10 +65,11 @@ def _check_campaign(report: dict) -> None:
     slow_log = report["slow_log"]
     assert slow_log["complete"] is True
     assert slow_log["captured"] == slow_log["expected"]
+    assert "executor" not in report["config"]  # removed in v4
     _json_ready(report)
 
 
-def test_faults_campaign_v3_single_mode():
+def test_faults_campaign_v4_single_mode():
     from repro.faults.campaign import ChaosConfig, run_chaos_campaign
 
     report = run_chaos_campaign(
@@ -82,7 +83,7 @@ def test_faults_campaign_v3_single_mode():
     _check_campaign(report)
 
 
-def test_faults_campaign_v3_sharded_mode():
+def test_faults_campaign_v4_sharded_mode():
     from repro.faults.campaign import ChaosConfig, run_chaos_campaign
 
     report = run_chaos_campaign(
@@ -170,10 +171,10 @@ def test_validate_flight_snapshot_rejects_bad_documents():
     assert validate_flight_snapshot({"schema": "nope/v1"}) != []
 
 
-# -- repro.bench.soak/v1 ---------------------------------------------------
+# -- repro.bench.soak/v2 ---------------------------------------------------
 
 
-def test_bench_soak_v1():
+def test_bench_soak_v2():
     from repro.workloads.soak import SoakConfig, run_soak
 
     report = run_soak(
@@ -187,14 +188,16 @@ def test_bench_soak_v1():
             max_differential_samples=8,
         )
     )
-    assert report["schema"] == "repro.bench.soak/v1"
+    assert report["schema"] == "repro.bench.soak/v2"
     assert len(report["tenants"]) >= 3
     for profile in report["tenants"].values():
         assert profile["rate_qps"] > 0
         assert profile["weight"] > 0
         assert profile["templates"]
+    assert "executor" not in report["metadata"]  # removed in v2
     [point] = report["curve"]
     assert point["multiplier"] == 1.0
+    assert set(point["frontdoor"]) == {"queue", "counters"}
     assert point["offered"] >= point["ok"]
     for tenant in point["per_tenant"].values():
         assert set(tenant["latency_ms"]) == _LATENCY_KEYS

@@ -8,11 +8,6 @@ session and through a bare serial processor over the combined store —
 whether the sharded side scatters, routes, or falls back to serial is
 an implementation detail the answer must not depend on.
 
-The sweep runs once per shard executor (``thread`` and ``process``):
-the process mode must be byte-identical too — worker processes
-execute pre-lowered shipped SQL over a zero-copy attach of the shard
-image, and any divergence there is a marshalling or staleness bug.
-
 ``REPRO_API_DIFF_COUNT`` scales the sweep (default 100 queries).
 """
 
@@ -42,11 +37,9 @@ def _corpus() -> list[tuple[str, str]]:
     return [(random_document(rng), uri) for uri in URIS]
 
 
-@pytest.fixture(scope="module", params=("thread", "process"))
-def sharded(request):
-    with repro.connect(
-        shards=SHARDS, default_doc=URIS[0], executor=request.param
-    ) as session:
+@pytest.fixture(scope="module")
+def sharded():
+    with repro.connect(shards=SHARDS, default_doc=URIS[0]) as session:
         for text, uri in _corpus():
             session.load(text, uri)
         yield session

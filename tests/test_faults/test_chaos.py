@@ -64,40 +64,6 @@ def test_chaos_campaign_contract_holds():
     assert f"seed {GATE_CONFIG.seed}" in rendered
 
 
-def test_chaos_campaign_contract_holds_in_process_mode():
-    """The sharded storm on the process executor: injected faults
-    cross the worker pipe, their tallies flow back as deltas, and the
-    ledger must balance verbatim across the process boundary."""
-    report = run_chaos_campaign(
-        ChaosConfig(
-            seed=11,
-            threads=4,
-            queries_per_thread=6,
-            rate=0.2,
-            factor=0.002,
-            deadline_s=1.5,
-            stall_ms=4_000.0,
-            breaker_reset_s=0.02,
-            shards=2,
-            documents=2,
-            executor="process",
-        )
-    )
-    assert report["mode"] == "sharded"
-    assert report["config"]["executor"] == "process"
-    outcomes = report["outcomes"]
-    faults = report["faults"]
-    assert faults["injected_total"] > 0
-    assert outcomes["wrong"] == []
-    assert outcomes["crashes"] == []
-    handled = faults["handled"]
-    assert faults["injected_total"] == (
-        handled["retry"] + handled["degrade"] + handled["surface"]
-    )
-    assert report["contract"]["holds"]
-    assert "process executor" in format_chaos_report(report)
-
-
 def test_unknown_collection_query_name_is_rejected_up_front():
     with pytest.raises(ValueError, match=r"CX9.*known.*CX1.*CX4"):
         ChaosConfig(shards=2, collection_query_mix=("CX1", "CX9"))

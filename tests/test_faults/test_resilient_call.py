@@ -12,7 +12,7 @@ from repro.errors import (
     BackendUnavailable,
     CircuitOpenError,
     DeadlineExceeded,
-    WorkerCrash,
+    PoolRetiredError,
 )
 from repro.faults.injector import InjectedOperationalError
 from repro.obs import metrics_scope
@@ -94,18 +94,10 @@ def test_exhaustion_without_a_last_resort_is_unavailable():
     harness = Harness(max_retries=1)
     script = Script(busy(), busy())
     with pytest.raises(BackendUnavailable) as excinfo:
-        harness.call(script, what="shard 3 worker")
-    assert "shard 3 worker" in str(excinfo.value)
+        harness.call(script)
+    assert "persisted through 1 retries" in str(excinfo.value)
     assert isinstance(excinfo.value.__cause__, sqlite3.OperationalError)
     harness.assert_balanced(script, retry=1, surface=1)
-
-
-def test_exhaustion_the_caller_degrades_reads_degrade():
-    harness = Harness(max_retries=0)
-    script = Script(busy())
-    with pytest.raises(BackendUnavailable):
-        harness.call(script, caller_degrades=True)
-    harness.assert_balanced(script, degrade=1)
 
 
 def test_failing_last_resort_surfaces():
@@ -146,7 +138,7 @@ def test_spent_budget_bounds_the_retries():
 def test_organic_failures_recover_but_stay_out_of_the_ledger():
     harness = Harness()
     script = Script(
-        WorkerCrash("worker died"),
+        PoolRetiredError("pool retired"),
         sqlite3.OperationalError("database is locked"),
         "answer",
     )

@@ -1,13 +1,5 @@
 """Front-door behavior: typed backpressure, canonical coalescing,
-batching, per-tenant accounting, and working-set eviction.
-
-The eviction test is the PR's correctness anchor for corpora larger
-than RAM: shard payloads are evicted *while queries keep arriving*,
-every answer must stay byte-identical to the serial reference, and
-the ``service.frontdoor.evictions`` / ``service.frontdoor.reattach``
-counters must balance (every eviction that is queried again
-re-attaches exactly once; the remainder is still pending).
-"""
+batching, and per-tenant accounting."""
 
 from __future__ import annotations
 
@@ -22,7 +14,6 @@ from repro.errors import (
     ServiceError,
     ServiceOverloaded,
 )
-from repro.pipeline import XQueryProcessor
 from repro.service import FrontDoor, ShardedService, TenantSpec
 from repro.store import Collection
 
@@ -260,80 +251,6 @@ def test_compile_errors_resolve_only_the_bad_request():
                 stats = door.stats()
             assert stats["tenants"]["alpha"]["ok"] == 1
             assert sum(stats["tenants"]["alpha"]["errors"].values()) == 1
-
-        asyncio.run(scenario())
-    finally:
-        service.close()
-
-
-def test_working_set_requires_process_executor():
-    service = make_service()
-    try:
-        with pytest.raises(ValueError, match="process"):
-            FrontDoor(
-                service, [generous("alpha")], working_set_bytes=1 << 20
-            )
-    finally:
-        service.close()
-
-
-def test_eviction_under_concurrent_queries_stays_byte_identical():
-    """Satellite 5: a 1-byte working-set budget forces every resident
-    shard payload out after every batch; queries racing the evictions
-    must still serialize byte-identically to a serial processor, and
-    the eviction/re-attach ledger must balance."""
-    reference = XQueryProcessor()
-    for text, uri in DOCS:
-        reference.load(text, uri)
-    queries = ["collection()//a", "collection()//b"]
-    expected = {
-        query: reference.serialize(reference.execute(query))
-        for query in queries
-    }
-
-    service = make_service(executor="process")
-    try:
-
-        async def scenario():
-            specs = [generous("alpha"), generous("beta")]
-            async with FrontDoor(
-                service, specs, working_set_bytes=1
-            ) as door:
-                for _ in range(3):
-                    results = await asyncio.gather(
-                        *(
-                            door.submit(tenant, query)
-                            for tenant in ("alpha", "beta")
-                            for query in queries
-                        )
-                    )
-                    flat = [
-                        (tenant, query)
-                        for tenant in ("alpha", "beta")
-                        for query in queries
-                    ]
-                    for (tenant, query), result in zip(flat, results):
-                        assert service.serialize(result) == expected[query]
-            # counters merge when a batch's worker thread finishes —
-            # snapshot only after close() drained the in-flight batches
-            stats = door.stats()
-            working_set = stats["working_set"]
-            assert working_set["evictions"] >= 1
-            # every eviction either re-attached (the shard was queried
-            # again) or is still pending — nothing is lost
-            assert working_set["evictions"] == working_set[
-                "reattached"
-            ] + len(working_set["pending_reattach"])
-            counters = stats["counters"]
-            assert (
-                counters.get("service.frontdoor.evictions", 0)
-                == working_set["evictions"]
-            )
-            assert (
-                counters.get("service.frontdoor.reattach", 0)
-                == working_set["reattached"]
-            )
-            assert working_set["reattached"] >= 1
 
         asyncio.run(scenario())
     finally:

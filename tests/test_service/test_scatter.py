@@ -5,6 +5,7 @@ failure handling."""
 from __future__ import annotations
 
 import random
+import time
 
 import pytest
 
@@ -311,6 +312,30 @@ def test_shard_failure_without_degradation_surfaces():
             service.execute(COLLECTION_QUERY)
         # partial answers are never returned: the failure surfaced
         # before any merge happened
+
+
+def test_spent_deadline_on_one_shard_surfaces_without_serial_fallback():
+    """A shard that outlives the query's budget leaves nothing to
+    degrade on: the DeadlineExceeded surfaces as it is, the combined
+    store is never materialized and the flight record is not marked
+    degraded."""
+    with make_sharded(shards=4, degrade=True) as service:
+        service.execute(COLLECTION_QUERY)  # warm the plan and shard variants
+        slow = service._executors[1]
+        run = slow.run
+
+        def sleepy(compiled, engine, deadline):
+            time.sleep(0.08)
+            return run(compiled, engine, deadline)
+
+        slow.run = sleepy
+        with metrics_scope() as metrics:
+            with pytest.raises(DeadlineExceeded):
+                service.execute(COLLECTION_QUERY, deadline_s=0.05)
+        counters = metrics.snapshot()["counters"]
+        assert counters.get("service.scatter.serial_fallbacks", 0) == 0
+        assert counters.get("service.scatter.serial_materializations", 0) == 0
+        assert service.flight.records()[-1].degraded is False
 
 
 def test_injected_shard_fault_is_retried_with_balanced_ledger():

@@ -149,25 +149,6 @@ def test_oversized_view_is_rejected_not_admitted():
         assert len(manager) == 0
 
 
-def test_evict_bytes_frees_lru_first():
-    with make_service() as service:
-        manager = make_manager(service, admit_after=1)
-        for query in (BROAD, "//a[c]"):
-            compiled = service.compile(query)
-            items = service.execute(query)
-            manager.observe(
-                compiled.source, compiled.core, service.store.version, items
-            )
-        assert len(manager) == 2
-        freed = manager.evict_bytes(1)
-        assert freed > 0
-        assert len(manager) == 1
-        # asking for more than remains drains the tier without error
-        assert manager.evict_bytes(10**9) > 0
-        assert len(manager) == 0
-        assert manager.bytes == 0
-
-
 def test_invalidate_drops_stale_versions():
     with make_service() as service:
         manager = make_manager(service, admit_after=1)
