@@ -2,11 +2,6 @@
 workloads so the ``benchmarks/`` suite can regenerate each table and
 figure of the evaluation section."""
 
-from repro.bench.harness import (
-    BenchHarness,
-    EngineRun,
-    format_table9,
-    table9_json,
-)
+from repro.bench.harness import BenchHarness, EngineRun, format_table9
 
-__all__ = ["BenchHarness", "EngineRun", "format_table9", "table9_json"]
+__all__ = ["BenchHarness", "EngineRun", "format_table9"]

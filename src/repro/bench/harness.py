@@ -73,16 +73,6 @@ class EngineRun:
     #: run of each query
     phases: dict[str, float] = field(default_factory=dict)
 
-    def to_json(self) -> dict:
-        return {
-            "query": self.query,
-            "engine": self.engine,
-            "seconds": self.seconds,
-            "result_size": self.result_size,
-            "correct": self.correct,
-            "phases": self.phases,
-        }
-
 
 class BenchHarness:
     """Builds both workloads once and runs any query on any engine."""
@@ -240,19 +230,6 @@ class BenchHarness:
     ) -> list[EngineRun]:
         """The full Table 9 grid."""
         return [self.run(q, e) for q in queries for e in engines]
-
-
-def table9_json(runs: list[EngineRun], shards: int = 1, **metadata) -> dict:
-    """The Table 9 grid as a JSON-ready document: every run with its
-    phase profile, plus free-form metadata (node counts, scale factors,
-    host notes).  ``shards`` records the store layout the runs executed
-    against (v3; 1 = a single combined backend, see ``docs/schemas.md``)."""
-    return {
-        "schema": "repro.bench.table9/v3",
-        "shards": shards,
-        "metadata": dict(metadata),
-        "runs": [run.to_json() for run in runs],
-    }
 
 
 def format_table9(runs: list[EngineRun]) -> str:

@@ -7,6 +7,12 @@ Run a query against a document::
     python -m repro 'doc("auction.xml")//open_auction[bidder]' \\
         --doc auction.xml
 
+Every query path serves through one ``ShardedService``; ``--shards N``
+spreads the documents over N shards and changes no output::
+
+    python -m repro 'collection()//person/name' --doc a.xml --doc b.xml \\
+        --shards 4
+
 Show the generated single-block SQL instead of executing::
 
     python -m repro '//closed_auction[price > 500]' --doc auction.xml --sql
@@ -76,9 +82,12 @@ import argparse
 import json
 import sys
 import time
+from collections.abc import Iterator
+from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 
+from repro.algebra.dagutils import plan_to_text
 from repro.engines import Engine
 from repro.errors import ReproError
 from repro.obs import (
@@ -94,13 +103,7 @@ from repro.obs import (
 from repro.pipeline import XQueryProcessor
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro",
-        description="A relational XQuery processor (EDBT 2010 reproduction): "
-        "compiles the XQuery workhorse fragment into join graph SQL.",
-    )
-    parser.add_argument("query", nargs="?", help="XQuery expression")
+def _add_doc_option(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--doc",
         action="append",
@@ -109,6 +112,16 @@ def build_parser() -> argparse.ArgumentParser:
         help="XML document to load; URI defaults to the file name. "
         "May be given several times.",
     )
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="repro",
+        description="A relational XQuery processor (EDBT 2010 reproduction): "
+        "compiles the XQuery workhorse fragment into join graph SQL.",
+    )
+    parser.add_argument("query", nargs="?", help="XQuery expression")
+    _add_doc_option(parser)
     parser.add_argument(
         "--engine",
         default=Engine.JOINGRAPH_SQL.value,
@@ -192,14 +205,7 @@ def build_lint_parser() -> argparse.ArgumentParser:
         "codes (see docs/analysis.md); exit status 1 on any error.",
     )
     parser.add_argument("query", nargs="?", help="XQuery expression to lint")
-    parser.add_argument(
-        "--doc",
-        action="append",
-        default=[],
-        metavar="FILE[=URI]",
-        help="XML document to load; URI defaults to the file name. "
-        "May be given several times.",
-    )
+    _add_doc_option(parser)
     parser.add_argument(
         "--workloads",
         action="store_true",
@@ -256,9 +262,7 @@ def lint_main(argv: list[str]) -> int:
             checked=True, check_interpret=args.interpret
         )
         try:
-            for spec in args.doc:
-                path, _, uri = spec.partition("=")
-                processor.load(Path(path).read_text(), uri or Path(path).name)
+            _load_documents(processor, args.doc)
         except ReproError as error:
             print(f"error: {error}", file=sys.stderr)
             return 1
@@ -406,14 +410,7 @@ def build_obs_parser() -> argparse.ArgumentParser:
         "docs/observability.md.",
     )
     parser.add_argument("query", help="XQuery expression")
-    parser.add_argument(
-        "--doc",
-        action="append",
-        default=[],
-        metavar="FILE[=URI]",
-        help="XML document to load; URI defaults to the file name. "
-        "May be given several times.",
-    )
+    _add_doc_option(parser)
     parser.add_argument(
         "--engine",
         default=Engine.JOINGRAPH_SQL.value,
@@ -477,78 +474,47 @@ def obs_main(argv: list[str]) -> int:
     sys.setrecursionlimit(100_000)
 
     from repro.obs import audit_plan, record_diagnostics, summary_report
-    from repro.planner import JoinGraphPlanner
-    from repro.sql import flatten_query
 
-    if not args.doc:
-        parser.error("at least one --doc FILE is required")
-    if args.shards < 1:
-        parser.error("--shards must be >= 1")
+    with _observed(True) as (tracer, metrics), _serving(
+        parser, args, checked=args.checked, slow_threshold_s=args.slow_threshold
+    ) as service:
+        try:
+            _load_documents(service, args.doc)
+            # serve the query twice: the first call compiles (cache
+            # miss), the second hits the compiled-plan cache — both show
+            # up in the service-layer section
+            items = service.execute(args.query, engine=args.engine)
+            service.execute(args.query, engine=args.engine)
+            compiled = service.compile(args.query)
+            service.serialize(items)
+            _, audits = audit_plan(_planner_plan(service, compiled))
+            if args.checked:
+                from repro.analysis import lint_compiled
 
-    from repro.service import ShardedService
-    from repro.store import Collection
+                record_diagnostics(lint_compiled(compiled))
 
-    service = ShardedService(
-        Collection(args.shards),
-        checked=args.checked,
-        slow_threshold_s=args.slow_threshold,
-    )
-    previous_tracer, previous_metrics = get_tracer(), get_metrics()
-    tracer = set_tracer(Tracer())
-    metrics = set_metrics(MetricsRegistry())
-    try:
-        for spec in args.doc:
-            path, _, uri = spec.partition("=")
-            service.load(Path(path).read_text(), uri or Path(path).name)
+            if args.trace:
+                write_chrome_trace(tracer, args.trace)
+            if args.metrics:
+                _write_output(args.metrics, metrics_json(metrics))
+            if args.flight:
+                _write_output(args.flight, service.flight.snapshot())
+            if args.prometheus:
+                from repro.obs import prometheus_text
 
-        # serve the query twice through the service layer: the first
-        # call compiles (cache miss), the second hits the compiled-plan
-        # cache — both show up in the service-layer section
-        items = service.execute(args.query, engine=args.engine)
-        service.execute(args.query, engine=args.engine)
-        compiled = service.compile(args.query)
-        service.serialize(items)
-        planner = JoinGraphPlanner(service.store.table)
-        plan = planner.plan(flatten_query(compiled.isolated_plan))
-        _, audits = audit_plan(plan)
-        if args.checked:
-            from repro.analysis import lint_compiled
-
-            record_diagnostics(lint_compiled(compiled))
-
-        if args.trace:
-            write_chrome_trace(tracer, args.trace)
-        if args.metrics:
-            Path(args.metrics).write_text(
-                json.dumps(metrics_json(metrics), indent=1) + "\n"
-            )
-        if args.flight:
-            snapshot = json.dumps(service.flight.snapshot(), indent=1) + "\n"
-            if args.flight == "-":
-                print(snapshot, end="")
-            else:
-                Path(args.flight).write_text(snapshot)
-        if args.prometheus:
-            from repro.obs import prometheus_text
-
-            exposition = prometheus_text(metrics, flight=service.flight)
-            if args.prometheus == "-":
-                print(exposition, end="")
-            else:
-                Path(args.prometheus).write_text(exposition)
-        print(f"-- {len(items)} item(s) [{args.engine}]\n")
-        print(summary_report(tracer, metrics, audits))
-        if args.slow:
-            print()
-            print(_slow_log_report(service.flight))
-        return 0
-    except ReproError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 1
-    finally:
-        service.close()
-        set_tracer(previous_tracer)
-        set_metrics(previous_metrics)
+                _write_output(
+                    args.prometheus,
+                    prometheus_text(metrics, flight=service.flight),
+                )
+            print(f"-- {len(items)} item(s) [{args.engine}]\n")
+            print(summary_report(tracer, metrics, audits))
+            if args.slow:
+                print()
+                print(_slow_log_report(service.flight))
+            return 0
+        except ReproError as error:
+            print(f"error: {error}", file=sys.stderr)
+            return 1
 
 
 def _slow_log_report(recorder) -> str:
@@ -628,13 +594,11 @@ def build_serve_bench_parser() -> argparse.ArgumentParser:
     )
     chaos.add_argument(
         "--shards", type=int, default=1,
-        help="chaos in sharded mode: storm a ShardedService over this "
-        "many shards with collection() queries (default: 1, classic "
-        "single-service mode)",
+        help="shards the chaos and soak corpus spreads over (default: 1)",
     )
     chaos.add_argument(
         "--documents", type=int, default=4,
-        help="corpus size for sharded chaos and the soak (default: 4)",
+        help="XMark documents in the chaos and soak corpus (default: 4)",
     )
     soak = parser.add_argument_group(
         "soak mode (see docs/serving.md)",
@@ -776,168 +740,123 @@ def main(argv: list[str] | None = None) -> int:
 
     if not args.query:
         parser.error("a query is required (or use --generate)")
+
+    observing = bool(args.trace or args.metrics is not None)
+    with _observed(observing) as (tracer, metrics), _serving(
+        parser, args, serialize_step=args.serialize_step
+    ) as service:
+        try:
+            _load_documents(service, args.doc)
+            compiled = service.compile(args.query)
+
+            if args.plan:
+                print(plan_to_text(compiled.isolated_plan))
+                return 0
+            if args.sql:
+                print(compiled.joingraph_sql.text)
+                return 0
+            if args.stacked_sql:
+                print(compiled.stacked_sql.text)
+                return 0
+            if args.explain:
+                from repro.planner import explain_plan
+
+                print(explain_plan(_planner_plan(service, compiled)))
+                return 0
+
+            start = time.perf_counter()
+            if args.engine == "planner":
+                items = _planner_plan(service, compiled).execute()
+            else:
+                items = service.execute(compiled, engine=args.engine)
+            elapsed = time.perf_counter() - start
+
+            if args.items:
+                print(" ".join(str(i) for i in items))
+            else:
+                print(service.serialize(items))
+            if args.time:
+                print(
+                    f"-- {len(items)} item(s) in {elapsed * 1000:.2f} ms "
+                    f"[{args.engine}]",
+                    file=sys.stderr,
+                )
+            if args.metrics is not None:
+                from repro.obs import audit_plan
+
+                # the estimate-quality half of the dump: planner.qerror.*
+                audit_plan(_planner_plan(service, compiled))
+            if args.trace:
+                write_chrome_trace(tracer, args.trace)
+            if args.metrics is not None:
+                _write_output(args.metrics, metrics_json(metrics))
+            return 0
+        except ReproError as error:
+            print(f"error: {error}", file=sys.stderr)
+            return 1
+
+
+def _serving(
+    parser: argparse.ArgumentParser, args: argparse.Namespace, **options
+):
+    """The serving stack of every query tool, for every shard count: one
+    ``ShardedService`` over a ``Collection(args.shards)``."""
     if not args.doc:
         parser.error("at least one --doc FILE is required")
     if args.shards < 1:
         parser.error("--shards must be at least 1")
-    if args.shards > 1 and args.engine == "planner":
-        parser.error("--shards does not apply to the planner engine")
-    if args.shards > 1 and args.explain:
-        parser.error("--explain needs a single backend (drop --shards)")
 
-    if args.shards > 1:
-        return _sharded_main(args)
+    from repro.service import ShardedService
+    from repro.store import Collection
 
-    processor = XQueryProcessor(serialize_step=args.serialize_step)
-    observing = bool(args.trace or args.metrics is not None)
+    return ShardedService(Collection(args.shards), **options)
+
+
+def _load_documents(target, specs: list[str]) -> None:
+    """Load every ``--doc FILE[=URI]`` into a service or processor; the
+    URI defaults to the file name."""
+    for spec in specs:
+        path, _, uri = spec.partition("=")
+        target.load(Path(path).read_text(), uri or Path(path).name)
+
+
+@contextmanager
+def _observed(
+    enabled: bool,
+) -> Iterator[tuple[Tracer | None, MetricsRegistry | None]]:
+    """Run under a fresh tracer and metrics registry when ``enabled``
+    (yielding them), restoring the previous ones afterwards."""
+    if not enabled:
+        yield None, None
+        return
     previous_tracer, previous_metrics = get_tracer(), get_metrics()
-    if observing:
-        tracer = set_tracer(Tracer())
-        metrics = set_metrics(MetricsRegistry())
     try:
-        for spec in args.doc:
-            path, _, uri = spec.partition("=")
-            text = Path(path).read_text()
-            processor.load(text, uri or Path(path).name)
-
-        compiled = processor.compile(args.query)
-
-        if args.plan:
-            from repro.algebra.dagutils import plan_to_text
-
-            print(plan_to_text(compiled.isolated_plan))
-            return 0
-        if args.sql:
-            print(compiled.joingraph_sql.text)
-            return 0
-        if args.stacked_sql:
-            print(compiled.stacked_sql.text)
-            return 0
-        if args.explain:
-            from repro.planner import JoinGraphPlanner, explain_plan
-            from repro.sql import flatten_query
-
-            planner = JoinGraphPlanner(processor.store.table)
-            plan = planner.plan(flatten_query(compiled.isolated_plan))
-            print(explain_plan(plan))
-            return 0
-
-        start = time.perf_counter()
-        if args.engine == "planner":
-            from repro.planner import JoinGraphPlanner
-            from repro.sql import flatten_query
-
-            planner = JoinGraphPlanner(processor.store.table)
-            items = planner.plan(flatten_query(compiled.isolated_plan)).execute()
-        else:
-            items = processor.execute(compiled, engine=args.engine)
-        elapsed = time.perf_counter() - start
-
-        if args.items:
-            print(" ".join(str(i) for i in items))
-        else:
-            print(processor.serialize(items))
-        if args.time:
-            print(
-                f"-- {len(items)} item(s) in {elapsed * 1000:.2f} ms "
-                f"[{args.engine}]",
-                file=sys.stderr,
-            )
-        if observing:
-            if args.metrics is not None:
-                _audit_planner(processor, compiled)
-            if args.trace:
-                write_chrome_trace(tracer, args.trace)
-            if args.metrics is not None:
-                dump = json.dumps(metrics_json(metrics), indent=1)
-                if args.metrics == "-":
-                    print(dump)
-                else:
-                    Path(args.metrics).write_text(dump + "\n")
-        return 0
-    except ReproError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 1
+        yield set_tracer(Tracer()), set_metrics(MetricsRegistry())
     finally:
-        if observing:
-            set_tracer(previous_tracer)
-            set_metrics(previous_metrics)
+        set_tracer(previous_tracer)
+        set_metrics(previous_metrics)
 
 
-def _sharded_main(args: argparse.Namespace) -> int:
-    """The ``--shards N`` execution path: serve the documents from a
-    sharded collection through the :func:`repro.connect` facade."""
-    import repro
-
-    observing = bool(args.trace or args.metrics is not None)
-    previous_tracer, previous_metrics = get_tracer(), get_metrics()
-    if observing:
-        tracer = set_tracer(Tracer())
-        metrics = set_metrics(MetricsRegistry())
-    try:
-        with repro.connect(
-            shards=args.shards, serialize_step=args.serialize_step
-        ) as session:
-            for spec in args.doc:
-                path, _, uri = spec.partition("=")
-                session.load(Path(path).read_text(), uri or Path(path).name)
-
-            if args.plan or args.sql or args.stacked_sql:
-                compiled = session.service.compile(args.query)
-                if args.plan:
-                    from repro.algebra.dagutils import plan_to_text
-
-                    print(plan_to_text(compiled.isolated_plan))
-                elif args.sql:
-                    print(compiled.joingraph_sql.text)
-                else:
-                    print(compiled.stacked_sql.text)
-                return 0
-
-            start = time.perf_counter()
-            result = session.execute(args.query, engine=args.engine)
-            elapsed = time.perf_counter() - start
-            if args.items:
-                print(" ".join(str(i) for i in result))
-            else:
-                print(session.serialize(result))
-            if args.time:
-                print(
-                    f"-- {len(result)} item(s) in {elapsed * 1000:.2f} ms "
-                    f"[{args.engine}, fan-out {result.shards} of "
-                    f"{args.shards} shard(s)]",
-                    file=sys.stderr,
-                )
-            if observing:
-                if args.trace:
-                    write_chrome_trace(tracer, args.trace)
-                if args.metrics is not None:
-                    dump = json.dumps(metrics_json(metrics), indent=1)
-                    if args.metrics == "-":
-                        print(dump)
-                    else:
-                        Path(args.metrics).write_text(dump + "\n")
-            return 0
-    except ReproError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 1
-    finally:
-        if observing:
-            set_tracer(previous_tracer)
-            set_metrics(previous_metrics)
-
-
-def _audit_planner(processor: XQueryProcessor, compiled) -> None:
-    """Run the estimate-vs-actual cardinality audit on our own
-    cost-based planner (the estimate-quality half of the metrics dump:
-    ``planner.qerror.*``)."""
-    from repro.obs import audit_plan
+def _planner_plan(service, compiled):
+    """Our cost-based planner's physical plan for ``compiled`` over the
+    combined store (``--explain``, ``--engine planner`` and the
+    ``planner.qerror.*`` audit)."""
     from repro.planner import JoinGraphPlanner
     from repro.sql import flatten_query
 
-    planner = JoinGraphPlanner(processor.store.table)
-    plan = planner.plan(flatten_query(compiled.isolated_plan))
-    audit_plan(plan)
+    planner = JoinGraphPlanner(service.store.table)
+    return planner.plan(flatten_query(compiled.isolated_plan))
+
+
+def _write_output(destination: str, output: str | dict) -> None:
+    """Write ``output`` (a JSON document when not text) to a file, or to
+    stdout for ``-``."""
+    if not isinstance(output, str):
+        output = json.dumps(output, indent=1) + "\n"
+    if destination == "-":
+        print(output, end="")
+    else:
+        Path(destination).write_text(output)
 
 
 if __name__ == "__main__":  # pragma: no cover

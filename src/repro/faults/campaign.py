@@ -20,15 +20,15 @@ The campaign is reproducible from its config: the injector draws from
 this campaign from the command line and prints/saves the report (CI
 uploads it as the chaos seed artifact).
 
-The classic target is one XMark document on one shard.  **Sharded
-mode** (``shards > 1``): the storm targets a service over a
-multi-document XMark
-corpus with scatter-safe ``collection()`` queries, so injected faults
-land *inside* the scatter fan-out — a failing shard triggers the
-service's full-serial fallback, never a partial merge.  The contract
-is unchanged: answers stay bit-identical to the pre-storm oracle (a
-bare interpreter over the combined store) and the recovery ledger
-balances across every shard executor plus the serial fallback.
+The storm target is a service over ``documents`` XMark documents on a
+``Collection(shards)`` — one shard or many, the same serving stack.
+The query mix draws XMark queries (routed to the first, default
+document) and scatter-safe ``collection()`` queries, so on several
+shards injected faults land *inside* the scatter fan-out — a failing
+shard triggers the service's full-serial fallback, never a partial
+merge.  The oracle is the reference interpreter over the combined
+store, and the recovery ledger balances across every shard executor
+plus the serial fallback.
 
 The storm service carries a full-size **flight recorder** (every call
 retained, promotion by degradation/surfacing only), so the report
@@ -36,7 +36,7 @@ separates latency percentiles for *clean* calls, *degraded* calls
 (served correct answers through the fallback path) and *surfaced*
 errors — the degraded-tail cost of resilience — and verifies that the
 slow-query log captured full diagnostics for every degraded and
-surfaced call.  The report schema is ``repro.faults.campaign/v4``
+surfaced call.  The report schema is ``repro.faults.campaign/v5``
 (see ``docs/schemas.md``).
 """
 
@@ -60,15 +60,23 @@ from repro.pipeline import XQueryProcessor
 from repro.service.resilience import RetryPolicy
 from repro.service.scatter import ShardedService
 from repro.store import Collection
-from repro.workloads import XMARK_QUERIES, XMarkConfig, generate_xmark
+from repro.workloads import XMARK_QUERIES
+from repro.workloads.corpus import CorpusConfig, xmark_corpus
 from repro.workloads.queries import COLLECTION_QUERIES
 
 __all__ = ["ChaosConfig", "format_chaos_report", "run_chaos_campaign"]
 
-SCHEMA = "repro.faults.campaign/v4"
+SCHEMA = "repro.faults.campaign/v5"
 
 #: service-level typed errors a chaos run is allowed to surface
 _ALLOWED_ERRORS = ServiceError
+
+#: every name a query mix may draw: XMark queries (routed to the
+#: default document) and scatter-safe ``collection()`` queries
+_QUERIES: dict[str, str] = {
+    **{name: query.text for name, query in XMARK_QUERIES.items()},
+    **COLLECTION_QUERIES,
+}
 
 
 @dataclass(frozen=True)
@@ -89,21 +97,19 @@ class ChaosConfig:
     max_retries: int = 3
     breaker_threshold: int = 6
     breaker_reset_s: float = 0.05
-    query_mix: tuple[str, ...] = ("X1", "X5", "X13", "X17", "X19")
+    query_mix: tuple[str, ...] = (
+        "X1", "X5", "X13", "X17", "X19", "CX1", "CX2", "CX3", "CX4",
+    )
     engines: tuple[str, ...] = ("joingraph-sql", "stacked-sql")
-    #: shards > 1 switches the campaign to sharded mode: the storm
-    #: targets a ShardedService over a ``documents``-document corpus
-    #: with the scatter-safe collection query mix
     shards: int = 1
     documents: int = 4
-    collection_query_mix: tuple[str, ...] = ("CX1", "CX2", "CX3", "CX4")
 
     def __post_init__(self) -> None:
-        unknown = sorted(set(self.collection_query_mix) - set(COLLECTION_QUERIES))
+        unknown = sorted(set(self.query_mix) - set(_QUERIES))
         if unknown:
             raise ValueError(
-                f"unknown collection_query_mix name(s) {unknown}; "
-                f"known: {sorted(COLLECTION_QUERIES)}"
+                f"unknown query_mix name(s) {unknown}; "
+                f"known: {sorted(_QUERIES)}"
             )
 
     def plan(self) -> FaultPlan:
@@ -155,50 +161,20 @@ class _Outcomes:
             self.crashes.append(detail)
 
 
-def _single_target(config: ChaosConfig):
-    """The classic storm target: one XMark document on one shard."""
-    collection = Collection(1)
-    collection.load_tree(generate_xmark(XMarkConfig(factor=config.factor)))
-    texts = {name: XMARK_QUERIES[name].text for name in config.query_mix}
-
-    # the uncached oracle: a bare processor on the reference
-    # interpreter, computed before any fault is ever injected
-    oracle_processor = XQueryProcessor(
-        store=collection.combined_store(), default_doc="auction.xml"
-    )
-    oracle = {
-        name: oracle_processor.execute(text, engine="interpreter")
-        for name, text in texts.items()
-    }
-
-    service = ShardedService(
-        collection,
-        default_doc="auction.xml",
-        workers=config.threads,
-        deadline_s=config.deadline_s,
-        retry=RetryPolicy(max_retries=config.max_retries),
-        breaker_threshold=config.breaker_threshold,
-        breaker_reset_s=config.breaker_reset_s,
-        degrade=True,
-        flight_recorder=config.recorder(),
-    )
-    return service, texts, oracle
-
-
-def _sharded_target(config: ChaosConfig):
-    """Sharded-mode storm target: a ShardedService over a multi-
-    document corpus, queried through scatter-safe ``collection()``
-    shapes so faults strike mid-fan-out."""
-    from repro.workloads.corpus import CorpusConfig, xmark_corpus
-
+def _target(config: ChaosConfig):
+    """The storm target: ``documents`` XMark documents dealt round-robin
+    over a ``Collection(shards)``, the first one the default document."""
     collection = Collection(config.shards)
     corpus = xmark_corpus(
         CorpusConfig(documents=config.documents, factor=config.factor)
     )
     for index, tree in enumerate(corpus):
         collection.load_tree(tree, shard=index % config.shards)
-    texts = {name: COLLECTION_QUERIES[name] for name in config.collection_query_mix}
+    texts = {name: _QUERIES[name] for name in config.query_mix}
 
+    # the uncached oracle: a bare processor on the reference
+    # interpreter over the combined store, computed before any fault is
+    # ever injected
     oracle_processor = XQueryProcessor(
         store=collection.combined_store(),
         default_doc=corpus[0].uri,
@@ -212,6 +188,7 @@ def _sharded_target(config: ChaosConfig):
     service = ShardedService(
         collection,
         default_doc=corpus[0].uri,
+        workers=config.threads,
         deadline_s=config.deadline_s,
         retry=RetryPolicy(max_retries=config.max_retries),
         breaker_threshold=config.breaker_threshold,
@@ -228,10 +205,7 @@ def run_chaos_campaign(config: ChaosConfig = ChaosConfig()) -> dict[str, Any]:
     The report's ``contract`` section is the acceptance gate: it must
     show zero wrong results, zero crashes, and balanced accounting.
     """
-    if config.shards > 1:
-        service, texts, oracle = _sharded_target(config)
-    else:
-        service, texts, oracle = _single_target(config)
+    service, texts, oracle = _target(config)
     outcomes = _Outcomes()
     campaign_metrics = MetricsRegistry()
     merge_lock = threading.Lock()
@@ -287,7 +261,6 @@ def run_chaos_campaign(config: ChaosConfig = ChaosConfig()) -> dict[str, Any]:
     latency, slow_log = _flight_analysis(service.flight)
     return {
         "schema": SCHEMA,
-        "mode": "sharded" if config.shards > 1 else "single",
         "config": asdict(config),
         "calls": calls,
         "outcomes": {
@@ -374,13 +347,8 @@ def format_chaos_report(report: dict[str, Any]) -> str:
         f"chaos campaign — seed {config['seed']}, {config['threads']} threads "
         f"x {config['queries_per_thread']} queries, "
         f"{config['rate']:.0%} fault rate (xmark factor {config['factor']})",
-    ]
-    if report.get("mode") == "sharded":
-        lines.append(
-            f"  sharded mode      : {config['shards']} shards, "
-            f"{config['documents']}-document collection() storm"
-        )
-    lines += [
+        f"  collection        : {config['documents']} document(s) on "
+        f"{config['shards']} shard(s)",
         f"  calls             : {report['calls']}",
         f"  correct answers   : {outcomes['ok']}",
         "  typed errors      : "

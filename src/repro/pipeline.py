@@ -207,31 +207,10 @@ class XQueryProcessor:
         with tracer.span("compile", query=query) as span:
             with tracer.span("parse"):
                 surface = parse_xquery(query)
-            with tracer.span("normalize"):
-                core = normalize(
-                    surface,
-                    default_doc=self.default_doc,
-                    collections=self.collections,
-                )
-                if self.serialize_step:
-                    core = _with_serialize_step(core)
-            with tracer.span("looplift"):
-                stacked = LoopLiftingCompiler(self.store).compile(core)
-                # isolation mutates the DAG: hand it an independent
-                # clone so the stacked plan survives as an artifact
-                isolated_input = clone_plan(stacked)
-            if self._engine.sanitizer is not None:
-                self._engine.sanitizer.set_core(core, self.store.table)
-            isolated, stats = self._engine.isolate(isolated_input)
-            span.set(rule_applications=stats.steps)
+            compiled = self._compile_surface(surface, query)
+            span.set(rule_applications=compiled.isolation_stats.steps)
         get_metrics().count("pipeline.compiles")
-        return CompiledQuery(
-            source=query,
-            core=core,
-            stacked_plan=stacked,
-            isolated_plan=isolated,
-            isolation_stats=stats,
-        )
+        return compiled
 
     def compile_tuple(self, query: str) -> list[CompiledQuery]:
         """Compile a FLWOR whose return clause is a tuple
@@ -249,30 +228,37 @@ class XQueryProcessor:
         for i, item in enumerate(surface.ret.items):
             component = ast.FLWOR(surface.clauses, surface.where, item)
             with tracer.span("compile", query=query, component=i):
-                with tracer.span("normalize"):
-                    core = normalize(
-                        component,
-                        default_doc=self.default_doc,
-                        collections=self.collections,
-                    )
-                    if self.serialize_step:
-                        core = _with_serialize_step(core)
-                with tracer.span("looplift"):
-                    stacked = LoopLiftingCompiler(self.store).compile(core)
-                    isolated_input = clone_plan(stacked)
-                if self._engine.sanitizer is not None:
-                    self._engine.sanitizer.set_core(core, self.store.table)
-                isolated, stats = self._engine.isolate(isolated_input)
-            compiled.append(
-                CompiledQuery(
-                    source=str(component),
-                    core=core,
-                    stacked_plan=stacked,
-                    isolated_plan=isolated,
-                    isolation_stats=stats,
+                compiled.append(
+                    self._compile_surface(component, str(component))
                 )
-            )
         return compiled
+
+    def _compile_surface(self, surface: ast.Expr, source: str) -> CompiledQuery:
+        """Normalize, loop-lift and isolate a parsed query."""
+        tracer = get_tracer()
+        with tracer.span("normalize"):
+            core = normalize(
+                surface,
+                default_doc=self.default_doc,
+                collections=self.collections,
+            )
+            if self.serialize_step:
+                core = _with_serialize_step(core)
+        with tracer.span("looplift"):
+            stacked = LoopLiftingCompiler(self.store).compile(core)
+            # isolation mutates the DAG: hand it an independent
+            # clone so the stacked plan survives as an artifact
+            isolated_input = clone_plan(stacked)
+        if self._engine.sanitizer is not None:
+            self._engine.sanitizer.set_core(core, self.store.table)
+        isolated, stats = self._engine.isolate(isolated_input)
+        return CompiledQuery(
+            source=source,
+            core=core,
+            stacked_plan=stacked,
+            isolated_plan=isolated,
+            isolation_stats=stats,
+        )
 
     # -- execution ---------------------------------------------------------
 

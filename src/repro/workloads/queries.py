@@ -88,8 +88,8 @@ Q0 = (
 
 #: Predicate-heavy ``collection()`` shapes, each ending in a location
 #: step after the predicate so the result is document-ordered and the
-#: query scatter-safe.  The sharded chaos campaign storms them under
-#: these names; the soak's interactive and analytics tenants
+#: query scatter-safe.  The chaos campaign storms them under these
+#: names; the soak's interactive and analytics tenants
 #: (:data:`repro.workloads.soak.DEFAULT_TENANTS`) submit the same texts.
 COLLECTION_QUERIES: dict[str, str] = {
     "CX1": 'collection()//closed_auction[itemref/@item = "item3"]/price',

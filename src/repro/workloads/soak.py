@@ -45,6 +45,7 @@ from __future__ import annotations
 import asyncio
 import random
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 from typing import Any, Mapping, Sequence
 
@@ -443,19 +444,14 @@ def run_soak(config: SoakConfig | None = None) -> dict[str, Any]:
         for point_index, multiplier in enumerate(
             sorted(cfg.load_points)
         ):
-            if plan is not None:
-                with injection(plan) as injector:
-                    point = asyncio.run(
-                        _run_point(
-                            service, cfg, multiplier, point_index, samples
-                        )
-                    )
-                    point["faults_injected"] = injector.counts.snapshot()
-            else:
+            scope = injection(plan) if plan is not None else nullcontext()
+            with scope as injector:
                 point = asyncio.run(
                     _run_point(service, cfg, multiplier, point_index, samples)
                 )
-                point["faults_injected"] = {}
+                point["faults_injected"] = (
+                    injector.counts.snapshot() if injector is not None else {}
+                )
             curve.append(point)
         flight = service.stats().get("flight")
     differential = _differential_check(samples, texts)

@@ -12,8 +12,7 @@ import json
 from pathlib import Path
 
 SCHEMAS = (
-    "repro.bench.table9/v3",
-    "repro.faults.campaign/v4",
+    "repro.faults.campaign/v5",
     "repro.obs.metrics/v1",
     "repro.obs.flight/v1",
     "repro.bench.soak/v2",
@@ -27,32 +26,12 @@ def _json_ready(doc) -> None:
     assert "Infinity" not in text and "NaN" not in text
 
 
-# -- repro.bench.table9/v3 -------------------------------------------------
-
-
-def test_bench_table9_v3():
-    from repro.bench.harness import EngineRun, table9_json
-
-    run = EngineRun(
-        query="Q1", engine="joingraph-sql", seconds=0.01,
-        result_size=5, correct=True, phases={"execute": 0.01},
-    )
-    doc = table9_json([run], shards=4, xmark_factor=0.002)
-    assert doc["schema"] == "repro.bench.table9/v3"
-    assert doc["shards"] == 4
-    assert doc["metadata"] == {"xmark_factor": 0.002}
-    [entry] = doc["runs"]
-    assert set(entry) == {
-        "query", "engine", "seconds", "result_size", "correct", "phases",
-    }
-    _json_ready(doc)
-
-
-# -- repro.faults.campaign/v4 ----------------------------------------------
+# -- repro.faults.campaign/v5 ----------------------------------------------
 
 
 def _check_campaign(report: dict) -> None:
-    assert report["schema"] == "repro.faults.campaign/v4"
+    assert report["schema"] == "repro.faults.campaign/v5"
+    assert "mode" not in report  # removed in v5
     contract = report["contract"]
     assert contract["holds"] is True
     faults = report["faults"]
@@ -69,21 +48,20 @@ def _check_campaign(report: dict) -> None:
     _json_ready(report)
 
 
-def test_faults_campaign_v4_single_mode():
+def test_faults_campaign_v5_one_shard():
     from repro.faults.campaign import ChaosConfig, run_chaos_campaign
 
     report = run_chaos_campaign(
         ChaosConfig(
             seed=3, threads=2, queries_per_thread=3, rate=0.3,
-            factor=0.001, stall_ms=100.0, deadline_s=5.0,
+            factor=0.001, stall_ms=100.0, deadline_s=5.0, documents=1,
         )
     )
-    assert report["mode"] == "single"
     assert report["config"]["shards"] == 1
     _check_campaign(report)
 
 
-def test_faults_campaign_v4_sharded_mode():
+def test_faults_campaign_v5_two_shards():
     from repro.faults.campaign import ChaosConfig, run_chaos_campaign
 
     report = run_chaos_campaign(
@@ -93,7 +71,6 @@ def test_faults_campaign_v4_sharded_mode():
             shards=2, documents=2,
         )
     )
-    assert report["mode"] == "sharded"
     assert report["config"]["shards"] == 2
     assert report["outcomes"]["wrong"] == []
     _check_campaign(report)

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.bench import BenchHarness
-from repro.bench.harness import ENGINES, format_table9, table9_json
+from repro.bench.harness import ENGINES, format_table9
 
 
 @pytest.fixture(scope="module")
@@ -68,19 +68,3 @@ def test_run_leaves_global_tracer_untouched(harness):
     before = get_tracer()
     harness.run("Q1", "interpreter")
     assert get_tracer() is before
-
-
-def test_table9_json_schema(harness):
-    import json
-
-    runs = [harness.run("Q1", "joingraph-sql")]
-    doc = table9_json(runs, xmark_factor=0.002)
-    assert doc["schema"] == "repro.bench.table9/v3"
-    assert doc["shards"] == 1
-    assert doc["metadata"] == {"xmark_factor": 0.002}
-    [entry] = doc["runs"]
-    assert entry["query"] == "Q1"
-    assert entry["engine"] == "joingraph-sql"
-    assert entry["correct"] is True
-    assert isinstance(entry["phases"], dict)
-    json.dumps(doc)  # JSON-ready end to end

@@ -11,6 +11,9 @@ AUCTION = (
     "<bidder><time>18:43</time><increase>4.20</increase></bidder>"
     "</open_auction>"
 )
+#: a second document; on two shards it lands on the other shard than
+#: auction.xml
+OTHER = "<people><person><name>Ann</name><time>09:15</time></person></people>"
 
 
 @pytest.fixture()
@@ -20,49 +23,71 @@ def doc(tmp_path):
     return str(path)
 
 
+@pytest.fixture()
+def docs(doc, tmp_path):
+    """``--doc`` arguments for two documents."""
+    other = tmp_path / "other.xml"
+    other.write_text(OTHER)
+    return ["--doc", doc, "--doc", str(other)]
+
+
 def run(capsys, *argv) -> str:
     assert main(list(argv)) == 0
     return capsys.readouterr().out
 
 
-def test_query_serializes_result(doc, capsys):
-    out = run(capsys, 'doc("auction.xml")//time', "--doc", doc)
+def run_sharded(capsys, *argv) -> str:
+    """Run on one shard and on two: the output must not depend on the
+    shard count."""
+    one = run(capsys, *argv, "--shards", "1")
+    assert run(capsys, *argv, "--shards", "2") == one
+    return one
+
+
+def test_query_serializes_result(docs, capsys):
+    out = run_sharded(capsys, 'doc("auction.xml")//time', *docs)
     assert out.strip() == "<time>18:43</time>"
 
 
-def test_items_flag(doc, capsys):
-    out = run(capsys, 'doc("auction.xml")//bidder', "--doc", doc, "--items")
+def test_items_flag(docs, capsys):
+    out = run_sharded(capsys, 'doc("auction.xml")//bidder', *docs, "--items")
     assert out.strip() == "5"
 
 
-def test_sql_flag(doc, capsys):
-    out = run(capsys, 'doc("auction.xml")//bidder', "--doc", doc, "--sql")
+def test_collection_query_spans_both_documents(docs, capsys):
+    out = run_sharded(capsys, "collection()//time", *docs)
+    assert out.strip() == "<time>18:43</time><time>09:15</time>"
+
+
+def test_sql_flag(docs, capsys):
+    out = run_sharded(capsys, 'doc("auction.xml")//bidder', *docs, "--sql")
     assert out.startswith("SELECT DISTINCT")
     assert "FROM doc AS d1" in out
 
 
-def test_stacked_sql_flag(doc, capsys):
-    out = run(capsys, 'doc("auction.xml")//bidder', "--doc", doc, "--stacked-sql")
+def test_stacked_sql_flag(docs, capsys):
+    out = run_sharded(
+        capsys, 'doc("auction.xml")//bidder', *docs, "--stacked-sql"
+    )
     assert out.startswith("WITH ")
 
 
-def test_explain_flag(doc, capsys):
-    out = run(capsys, 'doc("auction.xml")//bidder', "--doc", doc, "--explain")
+def test_explain_flag(docs, capsys):
+    out = run_sharded(capsys, 'doc("auction.xml")//bidder', *docs, "--explain")
     assert "IXSCAN" in out and "continuations" in out
 
 
-def test_plan_flag(doc, capsys):
-    out = run(capsys, 'doc("auction.xml")//bidder', "--doc", doc, "--plan")
+def test_plan_flag(docs, capsys):
+    out = run_sharded(capsys, 'doc("auction.xml")//bidder', *docs, "--plan")
     assert "SERIALIZE" in out and "DOC" in out
 
 
-def test_engine_choices(doc, capsys):
+def test_engine_choices(docs, capsys):
     for engine in ("interpreter", "stacked-sql", "planner"):
-        out = run(
+        out = run_sharded(
             capsys,
             'doc("auction.xml")//bidder',
-            "--doc",
-            doc,
+            *docs,
             "--items",
             "--engine",
             engine,
@@ -71,7 +96,7 @@ def test_engine_choices(doc, capsys):
 
 
 def test_custom_uri(doc, capsys):
-    out = run(capsys, 'doc("a")//time', "--doc", f"{doc}=a", "--items")
+    out = run_sharded(capsys, 'doc("a")//time', "--doc", f"{doc}=a", "--items")
     assert out.strip() == "6"
 
 
@@ -102,24 +127,27 @@ def test_trace_flag_writes_valid_chrome_trace(doc, capsys, tmp_path):
     trace = json.loads(trace_path.read_text())
     assert validate_chrome_trace(trace) == []
     names = {e["name"] for e in trace["traceEvents"] if e["ph"] == "X"}
+    # the CLI executes through the serving stack: its execution span is
+    # the serving boundary's service.query
     assert {"compile", "parse", "normalize", "looplift", "isolate",
-            "execute", "sql.run"} <= names
+            "service.query", "sql.run"} <= names
     assert any(n.startswith("isolate.phase:") for n in names)
 
 
-def test_metrics_flag_dumps_to_stdout(doc, capsys):
-    out = run(
-        capsys, 'doc("auction.xml")//bidder', "--doc", doc, "--items",
-        "--metrics",
-    )
-    lines = out.strip().splitlines()
-    assert lines[0] == "5"
-    metrics = json.loads("\n".join(lines[1:]))
-    assert metrics["counters"]["pipeline.compiles"] == 1
-    assert any(
-        k.startswith("rewrite.rule_fired.") for k in metrics["counters"]
-    )
-    assert any(k.startswith("planner.qerror.") for k in metrics["gauges"])
+def test_metrics_flag_dumps_to_stdout(docs, capsys):
+    for shards in ("1", "2"):
+        out = run(
+            capsys, 'doc("auction.xml")//bidder', *docs, "--items",
+            "--metrics", "--shards", shards,
+        )
+        lines = out.strip().splitlines()
+        assert lines[0] == "5"
+        metrics = json.loads("\n".join(lines[1:]))
+        assert metrics["counters"]["pipeline.compiles"] == 1, shards
+        assert any(
+            k.startswith("rewrite.rule_fired.") for k in metrics["counters"]
+        )
+        assert any(k.startswith("planner.qerror.") for k in metrics["gauges"])
 
 
 def test_metrics_flag_writes_file(doc, capsys, tmp_path):
@@ -219,8 +247,8 @@ def test_serve_bench_faults_subcommand(capsys, tmp_path):
     assert "chaos campaign" in out
     assert "contract" in out and "HOLDS" in out
     report = json.loads(out_path.read_text())
-    assert report["schema"] == "repro.faults.campaign/v4"
-    assert report["mode"] == "single"
+    assert report["schema"] == "repro.faults.campaign/v5"
+    assert "mode" not in report
     assert report["config"]["seed"] == 7
     assert report["contract"]["holds"] is True
     assert report["faults"]["injected_total"] == report["faults"]["handled_total"]

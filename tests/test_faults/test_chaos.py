@@ -9,6 +9,7 @@ as a separate job via ``repro serve-bench --faults``.
 from __future__ import annotations
 
 import threading
+from dataclasses import replace
 from random import Random
 
 import pytest
@@ -37,36 +38,45 @@ GATE_CONFIG = ChaosConfig(
 
 
 def test_chaos_campaign_contract_holds():
-    report = run_chaos_campaign(GATE_CONFIG)
-    outcomes = report["outcomes"]
-    faults = report["faults"]
+    # the same storm on one shard and on two: the mix routes its XMark
+    # queries to the default document and scatters its collection()
+    # queries across the shards
+    for shards in (1, 2):
+        config = replace(GATE_CONFIG, shards=shards)
+        report = run_chaos_campaign(config)
+        outcomes = report["outcomes"]
+        faults = report["faults"]
 
-    # the storm actually stormed
-    assert report["calls"] == GATE_CONFIG.threads * GATE_CONFIG.queries_per_thread
-    assert faults["injected_total"] > 0
+        # the storm actually stormed
+        assert report["calls"] == config.threads * config.queries_per_thread
+        assert faults["injected_total"] > 0, shards
 
-    # the contract: correct answer or clean typed error, nothing else
-    assert outcomes["wrong"] == []
-    assert outcomes["crashes"] == []
-    assert outcomes["ok"] + sum(outcomes["typed_errors"].values()) == report["calls"]
+        # the contract: correct answer or clean typed error, nothing else
+        assert outcomes["wrong"] == [], shards
+        assert outcomes["crashes"] == [], shards
+        assert (
+            outcomes["ok"] + sum(outcomes["typed_errors"].values())
+            == report["calls"]
+        )
 
-    # the accounting gate: every injected fault has exactly one
-    # disposition — retried, degraded, or surfaced as a typed error
-    handled = faults["handled"]
-    assert faults["injected_total"] == (
-        handled["retry"] + handled["degrade"] + handled["surface"]
-    )
-    assert report["contract"]["holds"]
+        # the accounting gate: every injected fault has exactly one
+        # disposition — retried, degraded, or surfaced as a typed error
+        handled = faults["handled"]
+        assert faults["injected_total"] == (
+            handled["retry"] + handled["degrade"] + handled["surface"]
+        )
+        assert report["contract"]["holds"], shards
 
-    # the report is renderable and says so
-    rendered = format_chaos_report(report)
-    assert "HOLDS" in rendered
-    assert f"seed {GATE_CONFIG.seed}" in rendered
+        # the report is renderable and says so
+        rendered = format_chaos_report(report)
+        assert "HOLDS" in rendered
+        assert f"seed {config.seed}" in rendered
+        assert f"on {shards} shard(s)" in rendered
 
 
 def test_unknown_collection_query_name_is_rejected_up_front():
-    with pytest.raises(ValueError, match=r"CX9.*known.*CX1.*CX4"):
-        ChaosConfig(shards=2, collection_query_mix=("CX1", "CX9"))
+    with pytest.raises(ValueError, match=r"CX9.*known.*CX1.*CX4.*X1"):
+        ChaosConfig(query_mix=("X1", "CX1", "CX9"))
 
 
 def test_no_stale_results_across_midstorm_reload():
