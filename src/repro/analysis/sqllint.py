@@ -1,11 +1,11 @@
 """Linter for the generated single-block join-graph SQL.
 
 :func:`generate_join_graph_sql` emits exactly one dialect — ``SELECT
-[DISTINCT] … FROM doc AS d1, … WHERE … ORDER BY …`` — so the linter
-can be precise: it parses the block with the same lexical conventions
-the generator uses and verifies scope and clause-compatibility rules
-an RDBMS would otherwise report at runtime (or worse, silently
-mis-execute):
+[DISTINCT] … FROM doc AS d1, … [CROSS JOIN doc AS dN …] WHERE … ORDER
+BY …`` — so the linter can be precise: it parses the block with the
+same lexical conventions the generator uses and verifies scope and
+clause-compatibility rules an RDBMS would otherwise report at runtime
+(or worse, silently mis-execute):
 
 * every ``dN`` alias referenced anywhere is bound in ``FROM`` exactly
   once (``JGI040`` / ``JGI042``);

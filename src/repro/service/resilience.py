@@ -11,6 +11,9 @@ module is the toolbox the hardened serving stack
     a thread-local so deep layers (the SQLite progress handler, the
     fault injector's stall simulation) can honor it without threading
     it through every signature.
+:func:`wait_within`
+    Wait for a future no longer than a deadline allows, so work queued
+    or built on another thread cannot make a typed error late.
 :func:`cancellation`
     Context manager that arms true query cancellation on a SQLite
     connection: a progress handler aborts the in-flight statement once
@@ -32,7 +35,9 @@ from __future__ import annotations
 import sqlite3
 import threading
 import time
-from typing import Callable, Iterator
+from concurrent.futures import Future
+from concurrent.futures import TimeoutError as FutureTimeout
+from typing import Callable, Iterator, TypeVar
 
 from contextlib import contextmanager
 
@@ -52,7 +57,10 @@ __all__ = [
     "deadline_scope",
     "is_connection_death",
     "is_transient",
+    "wait_within",
 ]
+
+T = TypeVar("T")
 
 
 # -- deadlines ------------------------------------------------------------
@@ -131,6 +139,25 @@ def deadline_scope(deadline: Deadline | None) -> Iterator[Deadline | None]:
 #: cancellation latency is dominated by the check interval, large
 #: enough that the handler is invisible on fast queries
 _PROGRESS_OPCODES = 2_000
+
+
+def wait_within(future: Future[T], deadline: Deadline | None) -> T:
+    """``future``'s result, waited for no longer than ``deadline``
+    allows; :class:`DeadlineExceeded` when the budget runs out first.
+
+    A future that has not started by then is cancelled; one already
+    running finishes on its own time."""
+    if deadline is None:
+        return future.result()
+    try:
+        return future.result(timeout=deadline.remaining())
+    except FutureTimeout:
+        if future.done():  # finished as the wait ran out, or raised
+            return future.result()
+        future.cancel()
+        raise DeadlineExceeded(
+            budget=deadline.budget, elapsed=deadline.elapsed()
+        ) from None
 
 
 @contextmanager

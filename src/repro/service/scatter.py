@@ -77,7 +77,12 @@ from repro.service.core import (
     MetricsBridge,
     ServingBoundary,
 )
-from repro.service.resilience import CircuitBreaker, Deadline, RetryPolicy
+from repro.service.resilience import (
+    CircuitBreaker,
+    Deadline,
+    RetryPolicy,
+    wait_within,
+)
 from repro.service.service import StoreExecutor
 from repro.store import Collection
 from repro.xquery.core import (
@@ -658,11 +663,17 @@ class ShardedService:
             pending: list[Callable[[], list[int]]]
             if self.parallel_fanout:
                 # dispatch threads mostly wait on SQLite with the GIL
-                # released
+                # released; each wait is capped at the query's budget,
+                # so a shard task queued behind stalled statements
+                # cannot make the DeadlineExceeded late
                 pending = [
-                    self._dispatch_pool(shard)
-                    .submit(MetricsBridge(self._merge_lock).run, run, shard)
-                    .result
+                    partial(
+                        wait_within,
+                        self._dispatch_pool(shard).submit(
+                            MetricsBridge(self._merge_lock).run, run, shard
+                        ),
+                        deadline,
+                    )
                     for shard in shards
                 ]
             else:

@@ -14,7 +14,8 @@ owns what touches that store and nothing else:
 - the :class:`BackendPool` lease with its version check: a load bumps
   the store's content version, the next lease retires the stale pool
   (in-flight queries drain against the old snapshot) and builds one
-  over the new content;
+  over the new content — on a thread of its own when the query has a
+  deadline, so a cold build cannot make its DeadlineExceeded late;
 - the :class:`CircuitBreaker` over repeated backend failures;
 - the pooled attempt under :func:`~repro.service.core.resilient_call`
   (deadline cancellation, bounded retry), with :meth:`_degraded` — a
@@ -30,8 +31,9 @@ from __future__ import annotations
 import sqlite3
 import threading
 import time
+from concurrent.futures import Future
 from functools import partial
-from typing import Any
+from typing import Any, Callable, TypeVar
 
 from repro.algebra.interpreter import run_plan
 from repro.faults.injector import suppressed
@@ -41,6 +43,7 @@ from repro.obs.flight import current_context
 from repro.pipeline import CompiledQuery, Engine, XQueryProcessor
 from repro.service.core import (
     FaultLedger,
+    MetricsBridge,
     canonical_pattern_of,
     resilient_call,
 )
@@ -52,11 +55,32 @@ from repro.service.resilience import (
     cancellation,
     deadline_scope,
     is_connection_death,
+    wait_within,
 )
 from repro.sql.backend import SQLiteBackend
 from repro.xquery.normalize import CollectionResolver
 
 __all__ = ["StoreExecutor", "canonical_pattern_of"]
+
+T = TypeVar("T")
+
+
+def _on_thread(fn: Callable[[], T]) -> Future[T]:
+    """Run ``fn`` on a new daemon thread, recording into the caller's
+    metrics; the returned future is already running, so a caller that
+    stops waiting cannot cancel the work."""
+    future: Future[T] = Future()
+    future.set_running_or_notify_cancel()
+    bridge = MetricsBridge()
+
+    def body() -> None:
+        try:
+            future.set_result(bridge.run(fn))
+        except Exception as error:  # handed to the waiter, if any
+            future.set_exception(error)
+
+    threading.Thread(target=body, name="repro-pool-build", daemon=True).start()
+    return future
 
 
 class StoreExecutor:
@@ -124,29 +148,55 @@ class StoreExecutor:
 
     # -- execution -----------------------------------------------------
 
-    def _lease_pool(self) -> BackendPool:
+    def _lease_pool(self, deadline: Deadline | None = None) -> BackendPool:
+        """Lease the pool over the store's current content.
+
+        With a ``deadline`` a missing or stale pool is built (or waited
+        for) on a thread of its own, and the caller waits no longer than
+        its budget; a build the caller gives up on still installs the
+        pool for the next query."""
+        if deadline is not None and not self._pool_is_current():
+            wait_within(_on_thread(self._current_pool), deadline)
         with self._pool_lock:
-            if self._closed:
-                raise RuntimeError("query service is closed")
-            pool = self._pool
-            if pool is not None and (
-                self._pool_version != self.store.version or pool.retired
-            ):
-                # stale or retired (a mid-flight retirement race):
-                # detach it first so a construction failure below never
-                # leaves the executor pointing at a dead snapshot
-                self._pool = None
-                pool.retire()
-                pool = None
-            if pool is None:
-                pool = BackendPool(
-                    self.store.table,
-                    self._indexes,
-                    cached_statements=self._cached_statements,
-                )
-                self._pool = pool
-                self._pool_version = self.store.version
-            return pool.lease()
+            return self._current_pool_locked().lease()
+
+    def _pool_is_current(self) -> bool:
+        """A lock-free hint: is there a pool over the current content?"""
+        pool = self._pool
+        return (
+            pool is not None
+            and not pool.retired
+            and self._pool_version == self.store.version
+        )
+
+    def _current_pool(self) -> BackendPool:
+        with self._pool_lock:
+            return self._current_pool_locked()
+
+    def _current_pool_locked(self) -> BackendPool:
+        """The pool over the store's current content, built when there
+        is none or it is stale (``_pool_lock`` held)."""
+        if self._closed:
+            raise RuntimeError("query service is closed")
+        pool = self._pool
+        if pool is not None and (
+            self._pool_version != self.store.version or pool.retired
+        ):
+            # stale or retired (a mid-flight retirement race): detach
+            # it first so a construction failure below never leaves
+            # the executor pointing at a dead snapshot
+            self._pool = None
+            pool.retire()
+            pool = None
+        if pool is None:
+            pool = BackendPool(
+                self.store.table,
+                self._indexes,
+                cached_statements=self._cached_statements,
+            )
+            self._pool = pool
+            self._pool_version = self.store.version
+        return pool
 
     def run(
         self,
@@ -171,7 +221,12 @@ class StoreExecutor:
 
     def explain(self, compiled: CompiledQuery, engine: Engine) -> list[str]:
         """EXPLAIN QUERY PLAN rows for a promoted slow capture.  Fault
-        injection is suppressed: diagnostics are not chaos targets."""
+        injection is suppressed: diagnostics are not chaos targets.
+        The capture runs on the caller's thread, so it never waits for
+        a pool build: with no pool over the current content it says
+        so instead of planning."""
+        if not self._pool_is_current():
+            return ["no plan: the backend pool over this store is being built"]
         with suppressed():
             pool = self._lease_pool()
             try:
@@ -191,7 +246,7 @@ class StoreExecutor:
         sql = compiled.sql_for(engine)
 
         def attempt() -> list[Any]:
-            pool = self._lease_pool()
+            pool = self._lease_pool(deadline)
             try:
                 backend = pool.backend()
                 with cancellation(backend.connection, deadline):

@@ -87,6 +87,10 @@ class SQLiteBackend:
             # the implicit-transaction machinery
             isolation_level=None,
         )
+        # without this SQLite builds a throwaway index (Q4: over every
+        # text node) on each execution instead of using the pre range
+        # below the parent; the Table 6 set is the index set
+        self.connection.execute("PRAGMA automatic_index=OFF")
         self.indexes = TABLE6_INDEXES if indexes is None else indexes
         if load:
             if table is None:

@@ -3,7 +3,9 @@
 The join graph region flattens into ``FROM doc AS d1, doc AS d2, …``
 plus a conjunctive ``WHERE``; the plan tail contributes the
 ``SELECT [DISTINCT]`` list and the ``ORDER BY`` clause (paper Figs. 8
-and 9).  Two points deserve emphasis:
+and 9).  Aliases bound to a document node (``kind = 0``) close the
+``FROM`` list as ``CROSS JOIN doc AS dN``, which keeps SQLite from
+driving the join with them.  Two points deserve emphasis:
 
 * When a tail δ is present, the *entire* column set it deduplicates
   over appears in the DISTINCT list — this is how the XQuery duplicate
@@ -533,6 +535,43 @@ def flatten_query(root: Serialize) -> FlatQuery:
     )
 
 
+def _document_aliases(flat: FlatQuery) -> set[str]:
+    """The aliases a ``dN.kind = 0`` conjunct binds to document nodes."""
+    out: set[str] = set()
+    for conjunct in flat.conjuncts:
+        if (
+            isinstance(conjunct, Comparison)
+            and conjunct.op == "="
+            and isinstance(conjunct.left, ColRef)
+            and isinstance(conjunct.right, Const)
+            and conjunct.right.value == 0
+        ):
+            m = _QUALIFIED.match(conjunct.left.name)
+            if m and m.group(2) == "kind":
+                out.add(m.group(1))
+    return out
+
+
+def _from_clause(flat: FlatQuery) -> str:
+    """``doc AS d1, …`` with every document-node alias moved to the end
+    as ``CROSS JOIN doc AS dN``.
+
+    After ``ANALYZE`` SQLite estimates hundreds of rows for the
+    ``(name, kind)`` lookup of a document root, so left free it drives
+    the join and scans the root's whole pre range once per outer row.
+    SQLite never moves the right operand of a ``CROSS JOIN`` ahead of
+    the tables on its left, so the root becomes a one-row probe at the
+    end; a ``CROSS JOIN`` is an inner join, so answers are unchanged."""
+    roots = _document_aliases(flat)
+    inner = [a for a in flat.aliases if a not in roots]
+    trailing = [a for a in flat.aliases if a in roots]
+    if not inner:
+        inner, trailing = trailing[:1], trailing[1:]
+    return ", ".join(f"doc AS {a}" for a in inner) + "".join(
+        f" CROSS JOIN doc AS {a}" for a in trailing
+    )
+
+
 def generate_join_graph_sql(root: Serialize) -> SQLQuery:
     """Render an isolated plan as a single
     SELECT-DISTINCT-FROM-WHERE-ORDER BY block (Figs. 8 and 9)."""
@@ -567,7 +606,7 @@ def generate_join_graph_sql(root: Serialize) -> SQLQuery:
     distinct_kw = "DISTINCT " if flat.distinct is not None else ""
     lines = [f"SELECT {distinct_kw}{select_clause}"]
     if flat.aliases:
-        lines.append("FROM " + ", ".join(f"doc AS {a}" for a in flat.aliases))
+        lines.append("FROM " + _from_clause(flat))
     from repro.algebra.expressions import Or
 
     conjunct_sql = [

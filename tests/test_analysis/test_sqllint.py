@@ -69,6 +69,18 @@ def test_duplicate_from_alias_flagged():
     assert "JGI042" in codes(lint_sql(q))
 
 
+def test_cross_join_binds_its_alias():
+    sql = (
+        "SELECT d1.pre AS item\nFROM doc AS d1 CROSS JOIN doc AS d2\n"
+        "WHERE d2.kind = 0\n  AND d2.pre < d1.pre"
+    )
+    assert lint_sql(block(sql, doc_instances=2)) == []
+    unbound = sql.replace("CROSS JOIN doc AS d2", "CROSS JOIN doc AS d3")
+    assert "JGI040" in codes(lint_sql(block(unbound, doc_instances=2)))
+    twice = sql.replace("doc AS d1 CROSS", "doc AS d1, doc AS d2 CROSS")
+    assert "JGI042" in codes(lint_sql(block(twice, doc_instances=3)))
+
+
 def test_unused_alias_is_a_warning():
     q = block(
         "SELECT d1.pre AS item\nFROM doc AS d1, doc AS d2",

@@ -165,6 +165,31 @@ def test_deadline_exceeded_through_the_worker_pool(service):
     assert pool is not None and pool.leases == 0
 
 
+def test_cold_pool_build_does_not_make_the_deadline_late(service, monkeypatch):
+    """A query that finds no pool waits for the build no longer than
+    its budget; the build it gave up on still lands and serves the next
+    query."""
+    expected = service.execute(QUERY)
+    service._executors[0]._pool.retire()  # the next SQL lease rebuilds
+    builds: list[BackendPool] = []
+
+    class SlowPool(BackendPool):
+        def __init__(self, *args, **kwargs):
+            time.sleep(0.5)
+            super().__init__(*args, **kwargs)
+            builds.append(self)
+
+    monkeypatch.setattr("repro.service.service.BackendPool", SlowPool)
+    started = time.monotonic()
+    with pytest.raises(DeadlineExceeded):
+        service.execute(QUERY, deadline_s=DEADLINE_S)
+    assert time.monotonic() - started < 0.4
+    # the slow capture does not wait for the build either
+    assert service.flight.slow()[-1].explain[0].startswith("no plan")
+    assert service.execute(QUERY, deadline_s=5.0) == expected
+    assert len(builds) == 1 and _pool(service) is builds[0]
+
+
 @pytest.mark.parametrize("shards", [1, 2])
 def test_late_view_answer_is_refused(shards, monkeypatch):
     """The view rung cannot be cancelled mid-filter, so its answer is

@@ -5,13 +5,14 @@ failure handling."""
 from __future__ import annotations
 
 import random
+import threading
 import time
 
 import pytest
 
 from repro.engines import Engine
 from repro.errors import BackendUnavailable, DeadlineExceeded, ServiceError
-from repro.faults import FaultInjector, injection
+from repro.faults import FaultInjector, FaultPlan, injection
 from repro.infoset import DocumentStore
 from repro.obs import metrics_scope
 from repro.pipeline import XQueryProcessor
@@ -336,6 +337,47 @@ def test_spent_deadline_on_one_shard_surfaces_without_serial_fallback():
         assert counters.get("service.scatter.serial_fallbacks", 0) == 0
         assert counters.get("service.scatter.serial_materializations", 0) == 0
         assert service.flight.records()[-1].degraded is False
+
+
+def test_stall_storm_surfaces_deadline_on_time():
+    """Four shards, one dispatch thread each, every statement stalled:
+    a query whose shard tasks queue behind a stalled long-budget query
+    still gets its DeadlineExceeded when its own budget runs out, not
+    when the queue ahead of it drains — and every injected stall is
+    accounted for."""
+    with make_sharded(shards=4, workers=4) as service:
+        service.parallel_fanout = True
+        service.execute(COLLECTION_QUERY)  # warm the plan and shard variants
+        injector = FaultInjector(FaultPlan(stall=1.0, stall_ms=5_000.0))
+        blocked = threading.Barrier(2)
+        surfaced: list[float] = []
+
+        def blocker() -> None:
+            blocked.wait()
+            with pytest.raises(DeadlineExceeded):
+                service.execute(COLLECTION_QUERY, deadline_s=1.0)
+
+        def storm() -> None:
+            started = time.monotonic()
+            with pytest.raises(DeadlineExceeded):
+                service.execute(COLLECTION_QUERY, deadline_s=0.2)
+            surfaced.append(time.monotonic() - started)
+
+        with injection(injector):
+            first = threading.Thread(target=blocker)
+            first.start()
+            blocked.wait()
+            time.sleep(0.1)  # the blocker's shard tasks hold every thread
+            storm_threads = [threading.Thread(target=storm) for _ in range(4)]
+            for thread in storm_threads:
+                thread.start()
+            for thread in [first, *storm_threads]:
+                thread.join(timeout=30)
+                assert not thread.is_alive()
+    assert len(surfaced) == 4
+    # queued behind the blocker they used to surface at ~0.9 s
+    assert max(surfaced) < 0.5, surfaced
+    assert injector.counts.total == sum(service.fault_accounting.values())
 
 
 def test_injected_shard_fault_is_retried_with_balanced_ledger():
