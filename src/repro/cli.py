@@ -56,20 +56,14 @@ table, and analysis health::
         --trace trace.json --metrics metrics.json
     python -m repro obs '//person[name]' --doc auction.xml --checked
 
-Chaos campaign (see ``docs/robustness.md``): inject backend faults at a
-configured error rate while 8 threads hammer the service, and verify
-the robustness contract — every call returns a correct answer or a
-clean typed error, and every injected fault is accounted for as
-retried, degraded, or surfaced::
+Fault storm (see ``docs/robustness.md``): open-loop multi-tenant
+arrivals through the front door while backend faults are injected;
+every answer is checked against the reference interpreter, every
+injected fault must be accounted for per tenant, and the knee and
+fairness gates must hold (``--fault-rate 0`` runs it without faults)::
 
-    python -m repro serve-bench --faults --fault-rate 0.15 --fault-seed 7 \\
-        --out CHAOS_report.json
-
-Soak (see ``docs/serving.md``): open-loop multi-tenant arrivals through
-the front door, gated on fairness, the per-tenant fault ledger and
-byte-identity::
-
-    python -m repro serve-bench --soak --quick
+    python -m repro serve-bench --quick
+    python -m repro serve-bench --fault-rate 0.12 --seed 7 --out storm.json
 
 Throughput, latency and overhead numbers come from
 ``python3 benchmarks/e2e/run.py`` (``docs/performance.md``), not from
@@ -543,86 +537,60 @@ def _slow_log_report(recorder) -> str:
 
 
 def build_serve_bench_parser() -> argparse.ArgumentParser:
+    from repro.workloads.soak import STORM_TENANTS
+
     parser = argparse.ArgumentParser(
         prog="repro serve-bench",
-        description="Correctness campaigns against the query service "
-        "layer: the randomized fault-injection campaign (--faults) and "
-        "the open-loop multi-tenant soak (--soak).  Exit status 1 when "
-        "a contract or gate is violated.  The throughput benchmark is "
-        "benchmarks/e2e/run.py (see docs/performance.md).",
+        description="The fault storm against the serving stack: "
+        "open-loop tenants through the front door over a sharded XMark "
+        "corpus, faults injected at --fault-rate, every answer checked "
+        "against the reference interpreter.  Writes the "
+        "repro.bench.soak/v3 report; exit status 1 when a gate (wrong "
+        "answer, crash, fault ledger, slow log, knee, fairness) fails.  "
+        "The throughput benchmark is benchmarks/e2e/run.py (see "
+        "docs/performance.md).",
+    )
+    parser.add_argument(
+        "--quick", action="store_true",
+        help="smoke-test size: tiny corpus, short load points",
+    )
+    parser.add_argument(
+        "--out", metavar="FILE", help="also write the JSON report to FILE",
+    )
+    parser.add_argument(
+        "--seed", type=int, default=42,
+        help="storm seed: corpus, arrivals and fault sequence (default: 42)",
+    )
+    parser.add_argument(
+        "--fault-rate", type=float, default=0.12,
+        help="overall injected error rate; 0 turns faults off "
+        "(default: 0.12)",
+    )
+    parser.add_argument(
+        "--deadline", type=float, default=2.0,
+        help="per-query deadline in seconds; injected stalls last twice "
+        "as long (default: 2.0)",
+    )
+    parser.add_argument(
+        "--shards", type=int, default=2,
+        help="shards the corpus spreads over (default: 2)",
+    )
+    parser.add_argument(
+        "--documents", type=int, default=4,
+        help="XMark documents in the corpus (default: 4)",
     )
     parser.add_argument("--factor", type=float, default=0.01,
                         help="XMark scale factor (default: 0.01)")
     parser.add_argument(
-        "--quick", action="store_true",
-        help="smoke-test size for --soak: tiny corpus, short load points",
-    )
-    parser.add_argument(
-        "--out",
-        metavar="FILE",
-        help="also write the JSON report to FILE",
-    )
-    chaos = parser.add_argument_group(
-        "chaos mode (see docs/robustness.md)",
-        "run the randomized differential fault-injection campaign; "
-        "exit status 1 when the robustness contract (correct-or-typed-"
-        "error, balanced fault accounting) is violated",
-    )
-    chaos.add_argument(
-        "--faults", action="store_true",
-        help="chaos mode: inject backend faults and check the contract",
-    )
-    chaos.add_argument(
-        "--fault-rate", type=float, default=0.12,
-        help="overall injected error rate (default: 0.12)",
-    )
-    chaos.add_argument(
-        "--fault-seed", type=int, default=0,
-        help="campaign seed (reproduces a prior run exactly)",
-    )
-    chaos.add_argument(
-        "--threads", type=int, default=8,
-        help="chaos worker threads (default: 8)",
-    )
-    chaos.add_argument(
-        "--queries-per-thread", type=int, default=25,
-        help="queries per chaos thread (default: 25)",
-    )
-    chaos.add_argument(
-        "--deadline", type=float, default=2.0,
-        help="per-query deadline in seconds (default: 2.0)",
-    )
-    chaos.add_argument(
-        "--shards", type=int, default=1,
-        help="shards the chaos and soak corpus spreads over (default: 1)",
-    )
-    chaos.add_argument(
-        "--documents", type=int, default=4,
-        help="XMark documents in the chaos and soak corpus (default: 4)",
-    )
-    soak = parser.add_argument_group(
-        "soak mode (see docs/serving.md)",
-        "drive the multi-tenant front door with open-loop Poisson "
-        "arrivals across a load-multiplier curve; writes the "
-        "repro.bench.soak/v2 document; exit status 1 when a soak gate "
-        "(knee, fairness, per-tenant fault ledger, differential "
-        "byte-identity) fails.  Combine with --faults to run the soak "
-        "under chaos injection at --fault-rate",
-    )
-    soak.add_argument(
-        "--soak", action="store_true",
-        help="soak mode: open-loop multi-tenant front-door storm",
-    )
-    soak.add_argument(
         "--duration", type=float, default=5.0,
         help="seconds per load point (default: 5.0)",
     )
-    soak.add_argument(
-        "--tenants", type=int, default=3,
+    parser.add_argument(
+        "--tenants", type=int, default=len(STORM_TENANTS),
         help="tenant count; profiles cycle through the interactive/"
-        "analytics/reporting personas (default: 3)",
+        "analytics/reporting/lookup personas (default: 4)",
     )
-    soak.add_argument(
+    parser.add_argument(
         "--load-points", default="0.5,1.0,2.0",
         help="comma-separated offered-load multipliers over each "
         "tenant's contracted rate (default: 0.5,1.0,2.0)",
@@ -631,78 +599,44 @@ def build_serve_bench_parser() -> argparse.ArgumentParser:
 
 
 def serve_bench_main(argv: list[str]) -> int:
+    from repro.workloads.soak import (
+        STORM_TENANTS,
+        SoakConfig,
+        format_soak_report,
+        run_soak,
+    )
+
     parser = build_serve_bench_parser()
     args = parser.parse_args(argv)
     sys.setrecursionlimit(100_000)
-
-    if not (args.faults or args.soak):
-        parser.error(
-            "choose a campaign: --faults or --soak (the throughput "
-            "benchmark is benchmarks/e2e/run.py)"
-        )
-
-    if args.soak:
-        from repro.workloads.soak import (
-            DEFAULT_TENANTS,
-            SoakConfig,
-            format_soak_report,
-            run_soak,
-        )
-
-        if args.tenants < 2:
-            parser.error("--tenants must be at least 2")
-        personas = len(DEFAULT_TENANTS)
-        profiles = []
-        for i in range(args.tenants):
-            base = DEFAULT_TENANTS[i % personas]
-            if i >= personas:
-                base = replace(base, name=f"{base.name}{i // personas + 1}")
-            profiles.append(base)
-        config = SoakConfig(
-            seed=args.fault_seed if args.fault_seed else 42,
-            duration_s=args.duration,
-            load_points=tuple(
-                float(m) for m in args.load_points.split(",")
-            ),
-            shards=args.shards,
-            documents=args.documents,
-            factor=args.factor,
-            fault_rate=args.fault_rate if args.faults else 0.0,
-            fault_seed=args.fault_seed,
-            deadline_s=args.deadline,
-            tenants=tuple(profiles),
-        )
-        if args.quick:
-            config = config.quick()
-        report = run_soak(config)
-        print(format_soak_report(report))
-        if args.out:
-            Path(args.out).write_text(json.dumps(report, indent=1) + "\n")
-            print(f"-- wrote {args.out}")
-        return 0 if report["gates"]["passed"] else 1
-
-    from repro.faults.campaign import (
-        ChaosConfig,
-        format_chaos_report,
-        run_chaos_campaign,
-    )
-
-    config = ChaosConfig(
-        seed=args.fault_seed,
-        threads=args.threads,
-        queries_per_thread=args.queries_per_thread,
-        rate=args.fault_rate,
-        factor=args.factor,
-        deadline_s=args.deadline,
+    if args.tenants < 2:
+        parser.error("--tenants must be at least 2")
+    personas = len(STORM_TENANTS)
+    profiles = []
+    for i in range(args.tenants):
+        base = STORM_TENANTS[i % personas]
+        if i >= personas:
+            base = replace(base, name=f"{base.name}{i // personas + 1}")
+        profiles.append(base)
+    config = SoakConfig(
+        seed=args.seed,
+        duration_s=args.duration,
+        load_points=tuple(float(m) for m in args.load_points.split(",")),
         shards=args.shards,
         documents=args.documents,
+        factor=args.factor,
+        fault_rate=args.fault_rate,
+        deadline_s=args.deadline,
+        tenants=tuple(profiles),
     )
-    report = run_chaos_campaign(config)
-    print(format_chaos_report(report))
+    if args.quick:
+        config = config.quick()
+    report = run_soak(config)
+    print(format_soak_report(report))
     if args.out:
         Path(args.out).write_text(json.dumps(report, indent=1) + "\n")
         print(f"-- wrote {args.out}")
-    return 0 if report["contract"]["holds"] else 1
+    return 0 if report["gates"]["passed"] else 1
 
 
 def _generate(kind: str, factor: float, seed: int) -> str:

@@ -1,19 +1,14 @@
-"""Fault injection and chaos testing for the serving stack.
+"""Fault injection for the serving stack.
 
-``repro.faults`` is how this repository *proves* the robustness story:
 :mod:`repro.faults.injector` delivers deterministic, seedable backend
 misbehavior (busy errors, slow-query stalls, connection death,
-retirement races) at hooks threaded through
-:mod:`repro.sql.backend` and :mod:`repro.service.pool`, and
-:mod:`repro.faults.campaign` runs the randomized differential chaos
-campaign that holds the service to its contract under that
-misbehavior: every query returns a correct answer or a clean typed
-error — never wrong, never stale — and every injected fault is
-accounted for as retried, degraded, or surfaced.
-
-``repro.faults.campaign`` is intentionally *not* imported here: it
-pulls in the service layer, which itself (via the SQL backend) imports
-this package — import it explicitly where needed.
+retirement races) at hooks threaded through :mod:`repro.sql.backend`
+and :mod:`repro.service.pool`.  The fault storm
+(:func:`repro.workloads.soak.run_soak`, ``repro serve-bench``) holds
+the service to its contract under that misbehavior: every query
+returns a correct answer or a clean typed error — never wrong, never
+stale — and every injected fault is accounted for as retried,
+degraded, or surfaced.
 
 See ``docs/robustness.md`` for the failure model and reproduction
 workflow.

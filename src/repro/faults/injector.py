@@ -31,13 +31,13 @@ under production load, at the two seams the service depends on:
 Determinism: one seeded :class:`random.Random` drives all draws (under
 a lock — the fault *sequence* is reproducible from the seed; which
 thread observes each fault depends on scheduling, which is why the
-chaos campaign asserts invariants rather than exact schedules).  For
+fault storm asserts invariants rather than exact schedules).  For
 exact unit tests, :meth:`FaultInjector.scripted` replays an explicit
 fault sequence instead of drawing randomly.
 
 Every injected exception carries ``injected = True`` so the service's
 recovery accounting can distinguish injected faults from organic ones
-— the chaos gate asserts ``injected == retried + degraded + surfaced``
+— the storm gate asserts ``injected == retried + degraded + surfaced``
 (see ``docs/robustness.md``).
 
 Installation is process-global (:func:`install` / :func:`uninstall` /

@@ -639,10 +639,15 @@ class ShardedService:
         if deadline is not None:
             deadline.check()  # a spent budget surfaces before any dispatch
         # the plans compile here, on this thread, not on a dispatch
-        # thread next to a SQLite connection
+        # thread next to a SQLite connection; a variant's first compile
+        # waits on its executor's lock, so the flight record times it
+        started = time.perf_counter_ns()
         plans = {
             shard: self._shard_plan(compiled, shards, shard) for shard in shards
         }
+        flight = current_context()
+        if flight is not None:
+            flight.add_phase("compile", time.perf_counter_ns() - started)
 
         def run(shard: int) -> list[int]:
             return self._executors[shard].run(plans[shard], engine, deadline)
@@ -660,21 +665,22 @@ class ShardedService:
                 merged = self.collection.to_global(shard, items)
                 return merged, time.perf_counter_ns() - started
 
+            futures: list[Future[list[int]]] = []
             pending: list[Callable[[], list[int]]]
             if self.parallel_fanout:
                 # dispatch threads mostly wait on SQLite with the GIL
                 # released; each wait is capped at the query's budget,
                 # so a shard task queued behind stalled statements
                 # cannot make the DeadlineExceeded late
-                pending = [
-                    partial(
-                        wait_within,
-                        self._dispatch_pool(shard).submit(
-                            MetricsBridge(self._merge_lock).run, run, shard
-                        ),
-                        deadline,
+                futures = [
+                    self._dispatch_pool(shard).submit(
+                        MetricsBridge(self._merge_lock).run, run, shard
                     )
                     for shard in shards
+                ]
+                pending = [
+                    partial(wait_within, future, deadline)
+                    for future in futures
                 ]
             else:
                 pending = [partial(run, shard) for shard in shards]
@@ -692,6 +698,14 @@ class ShardedService:
                 if failure is None:
                     per_shard.append(self.collection.to_global(shard, items))
             if failure is not None:
+                # a shard task the deadline wait gave up on may still
+                # be running; it observes the same deadline (stalls
+                # wake every slice, SQLite runs under the progress
+                # handler), so wait for it: its fault tallies must
+                # reach the caller's registry before the failure does
+                for future in futures:
+                    if not future.cancel():
+                        future.exception()
                 # a spent deadline has no budget left to degrade on
                 spent = isinstance(failure, DeadlineExceeded)
                 if spent or not self.degrade_enabled:
@@ -699,7 +713,6 @@ class ShardedService:
                 # partial answers are never merged: degrade to full
                 # serial execution against the combined store
                 get_metrics().count("service.scatter.serial_fallbacks")
-                flight = current_context()
                 if flight is not None:
                     flight.note_degraded()
                 with tracer.span("service.scatter.degrade"):

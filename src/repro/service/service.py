@@ -207,16 +207,20 @@ class StoreExecutor:
         """Execute a compiled plan: the interpreters in-process, SQL on
         the pool under the resilience stack."""
         sql_start = time.perf_counter_ns()
-        with deadline_scope(deadline):
-            if engine is Engine.INTERPRETER:
-                items = run_plan(compiled.stacked_plan)
-            elif engine is Engine.ISOLATED_INTERPRETER:
-                items = run_plan(compiled.isolated_plan)
-            else:
-                items = self._run_pooled(compiled, engine, deadline)
-        flight = current_context()
-        if flight is not None:
-            flight.add_phase("sql", time.perf_counter_ns() - sql_start)
+        try:
+            with deadline_scope(deadline):
+                if engine is Engine.INTERPRETER:
+                    items = run_plan(compiled.stacked_plan)
+                elif engine is Engine.ISOLATED_INTERPRETER:
+                    items = run_plan(compiled.isolated_plan)
+                else:
+                    items = self._run_pooled(compiled, engine, deadline)
+        finally:
+            # a failed run records its time too: the slow-log capture
+            # of a surfaced error then has a phase to show
+            flight = current_context()
+            if flight is not None:
+                flight.add_phase("sql", time.perf_counter_ns() - sql_start)
         return items
 
     def explain(self, compiled: CompiledQuery, engine: Engine) -> list[str]:

@@ -8,6 +8,7 @@ from repro.workloads.corpus import CorpusConfig, dblp_corpus, xmark_corpus
 from repro.workloads.queries import PAPER_QUERIES, PaperQuery
 from repro.workloads.soak import (
     DEFAULT_TENANTS,
+    STORM_TENANTS,
     SoakConfig,
     TenantProfile,
     format_soak_report,
@@ -22,6 +23,7 @@ __all__ = [
     "DEFAULT_TENANTS",
     "PAPER_QUERIES",
     "PaperQuery",
+    "STORM_TENANTS",
     "SoakConfig",
     "TPOX_QUERIES",
     "TPoXConfig",

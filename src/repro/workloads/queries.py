@@ -88,9 +88,8 @@ Q0 = (
 
 #: Predicate-heavy ``collection()`` shapes, each ending in a location
 #: step after the predicate so the result is document-ordered and the
-#: query scatter-safe.  The chaos campaign storms them under these
-#: names; the soak's interactive and analytics tenants
-#: (:data:`repro.workloads.soak.DEFAULT_TENANTS`) submit the same texts.
+#: query scatter-safe.  The soak's interactive and analytics tenants
+#: (:data:`repro.workloads.soak.DEFAULT_TENANTS`) submit these texts.
 COLLECTION_QUERIES: dict[str, str] = {
     "CX1": 'collection()//closed_auction[itemref/@item = "item3"]/price',
     "CX2": 'collection()//person[address/country = "United States"]/name',

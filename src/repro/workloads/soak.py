@@ -1,43 +1,59 @@
-"""Open-loop multi-tenant soak harness for the front door.
+"""The fault storm: open-loop multi-tenant load through the front door,
+every answer checked, every injected fault accounted for.
 
-A closed loop measures how fast N workers can drain a queue; a *soak*
-answers the production question instead: with tenants submitting on
-**open-loop Poisson clocks** (arrivals do not wait for completions —
-the real shape of independent clients), does the admission boundary
-keep per-tenant latency, fairness, and the fault ledger honest as
-offered load sweeps past each tenant's contract?
+A closed loop measures how fast N workers can drain a queue; the
+storm asks the production question instead: with tenants submitting
+on **open-loop Poisson clocks** (arrivals do not wait for completions
+— the real shape of independent clients) while the fault injector
+(:mod:`repro.faults.injector`) delivers backend misbehavior, does the
+serving stack keep its contract?
 
-The harness drives a :class:`~repro.service.FrontDoor` over a sharded
-XMark corpus with ``N >= 3`` tenants, each with a distinct query-
-template mix (interactive point lookups, analytics predicate scans,
-reporting path sweeps) and a quota/weight contract.  Offered load
-sweeps a multiplier curve (default ``0.5x, 1x, 2x`` of each tenant's
-contracted rate) so the **knee** — the last point where goodput still
-tracks offered load — and the post-knee fairness regime are both
-visible in one report.  The knee is where the **contract** ends, not
-where the stack runs out: past it the token buckets refuse what the
-tenants did not pay for (76 q/s of goodput under the default quotas,
-which refill at 80 q/s in total; with quotas lifted the same front
-door holds its latency limit up to ``slo_rate_qps`` 360).  How much
-the stack can carry is a question for the ``frontdoor_open`` workload
-of ``benchmarks/e2e`` (``slo_rate_qps``, ``latency_p95_ms``), not for
+The storm drives a :class:`~repro.service.FrontDoor` over a
+:class:`~repro.service.ShardedService` holding ``documents`` XMark
+documents dealt round-robin over a ``Collection(shards)``.  Its
+tenants (:data:`STORM_TENANTS`) are the three production personas of
+:data:`DEFAULT_TENANTS` — interactive point lookups, analytics
+predicate scans, reporting path sweeps, all ``collection()`` queries
+scattered over the shards — plus a ``lookup`` persona that sends
+XMark queries to the default document (routed to one shard).  Each
+arrival draws a template of its tenant's mix and one of the two SQL
+engines.  Offered load sweeps a multiplier curve (default ``0.5x, 1x,
+2x`` of each tenant's contracted rate), so the **knee** — the last
+point where goodput still tracks offered load — and the post-knee
+fairness regime are both visible in one report.  The knee is where
+the **contract** ends, not where the stack runs out: past it the token
+buckets refuse what the tenants did not pay for.  How much the stack
+can carry is a question for the ``frontdoor_open`` workload of
+``benchmarks/e2e`` (``slo_rate_qps``, ``latency_p95_ms``), not for
 this report.
 
-With ``fault_rate > 0`` the whole soak runs under chaos injection
-(:func:`repro.faults.injection`), and the report carries the
-**per-tenant fault ledger**: for every tenant,
-``injected == retried + degraded + surfaced`` must hold exactly
-(lossless per-tenant attribution is what the front door's per-group
-metric registries buy; see ``docs/serving.md``).
+The report's gates (``repro.bench.soak/v3``, ``docs/schemas.md``):
 
-A **differential gate** samples ~1% of OK responses during the storm,
-then — faults off — re-executes each sampled query on a bare serial
-:class:`~repro.pipeline.XQueryProcessor` over the same corpus and
-asserts byte-identical serialization.  Chaos may slow answers;
-it must never change them.
+* **no wrong answer** — every OK answer equals an oracle computed on
+  the reference interpreter over the combined store before any fault
+  is injected, and the first OK answer per (query, engine) also
+  serializes byte for byte like the oracle's;
+* **no crash** — every failure is a typed
+  :class:`~repro.errors.ServiceError`;
+* **balanced ledger** — at every load point the injector's total
+  equals the service's recovery ledger and the sum of the per-tenant
+  ledgers, and each tenant's ledger balances on its own:
+  ``injected == retried + degraded + surfaced``;
+* **complete slow log** — a flight recorder sized to the precomputed
+  arrival count captures every degraded and surfaced call, each with
+  EXPLAIN and trace diagnostics (it also splits latency into clean,
+  degraded and surfaced calls);
+* **knee found** and **fairness** (Jain's index over weight-normalized
+  goodput at the highest load point) ``>= 0.9``.
 
-Emits ``repro.bench.soak/v2`` (``docs/schemas.md``); the CLI entry is
-``repro serve-bench --soak``.
+Stalls are sized to overrun the deadline (twice the budget), so every
+stall has a deterministic disposition: surfaced as
+:class:`~repro.errors.DeadlineExceeded`.  ``fault_rate=0`` runs the
+same storm without faults.  The storm is reproducible from ``seed``:
+the corpus, the arrival plans and the fault sequence all derive from
+it (which thread observes each fault still depends on scheduling,
+which is why the gates are invariants, not schedules).  The CLI entry
+is ``repro serve-bench``.
 """
 
 from __future__ import annotations
@@ -49,8 +65,11 @@ from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 from typing import Any, Mapping, Sequence
 
-from repro.errors import QuotaExceeded, ServiceOverloaded
+from repro.engines import Engine
+from repro.errors import QuotaExceeded, ServiceError, ServiceOverloaded
 from repro.faults import FaultPlan, injection
+from repro.obs import Histogram, latency_summary_ms
+from repro.obs.flight import FlightRecorder
 from repro.pipeline import XQueryProcessor
 from repro.service.frontdoor import FrontDoor
 from repro.service.scatter import ShardedService
@@ -58,17 +77,21 @@ from repro.service.tenancy import TenantSpec
 from repro.store import Collection
 from repro.workloads.corpus import CorpusConfig, xmark_corpus
 from repro.workloads.queries import COLLECTION_QUERIES
-from repro.xmltree.serializer import serialize
+from repro.workloads.xmark_queries import XMARK_QUERIES
 
 __all__ = [
     "DEFAULT_TENANTS",
+    "STORM_TENANTS",
     "SoakConfig",
     "TenantProfile",
     "format_soak_report",
     "run_soak",
 ]
 
-SCHEMA = "repro.bench.soak/v2"
+SCHEMA = "repro.bench.soak/v3"
+
+#: batches the storm's front door executes at once
+_BATCHES = 4
 
 
 @dataclass(frozen=True)
@@ -133,11 +156,29 @@ DEFAULT_TENANTS: tuple[TenantProfile, ...] = (
     ),
 )
 
+#: The storm's tenants: the three personas plus XMark queries routed
+#: to the default document, so faults land on routed and on scattered
+#: executions alike.
+STORM_TENANTS: tuple[TenantProfile, ...] = (
+    *DEFAULT_TENANTS,
+    TenantProfile(
+        name="lookup",
+        queries={
+            name: XMARK_QUERIES[name].text
+            for name in ("X1", "X5", "X13", "X17", "X19")
+        },
+        rate_qps=20.0,
+        burst=10.0,
+        weight=1.0,
+    ),
+)
+
 
 @dataclass(frozen=True)
 class SoakConfig:
-    """Shape of one soak run (deterministic in ``seed`` up to async
-    scheduling: arrival clocks and template draws are seeded)."""
+    """Shape of one storm (deterministic in ``seed`` up to thread
+    scheduling: the corpus, the arrival clocks, the template and engine
+    draws and the fault sequence are seeded)."""
 
     seed: int = 42
     #: wall-clock seconds per load point
@@ -147,14 +188,11 @@ class SoakConfig:
     shards: int = 2
     documents: int = 4
     factor: float = 0.005
-    #: overall chaos rate (:meth:`FaultPlan.uniform`); 0 disables
-    fault_rate: float = 0.0
-    fault_seed: int = 0
+    #: overall injected error rate (:meth:`FaultPlan.uniform`); 0 is
+    #: the same storm without faults
+    fault_rate: float = 0.12
     deadline_s: float = 2.0
-    #: fraction of OK responses sampled for the differential gate
-    differential_rate: float = 0.01
-    max_differential_samples: int = 64
-    tenants: tuple[TenantProfile, ...] = DEFAULT_TENANTS
+    tenants: tuple[TenantProfile, ...] = STORM_TENANTS
 
     def __post_init__(self) -> None:
         if len(self.tenants) < 2:
@@ -163,8 +201,14 @@ class SoakConfig:
             raise ValueError("duration_s must be positive")
         if not self.load_points:
             raise ValueError("load_points must be non-empty")
-        if not 0.0 <= self.differential_rate <= 1.0:
-            raise ValueError("differential_rate must be in [0, 1]")
+        if self.deadline_s <= 0:
+            raise ValueError("deadline_s must be positive")
+
+    @property
+    def stall_ms(self) -> float:
+        """Injected stalls last twice the deadline: every stall
+        overruns the budget and surfaces as ``DeadlineExceeded``."""
+        return 2_000.0 * self.deadline_s
 
     def quick(self) -> "SoakConfig":
         """CI-smoke size: tiny corpus, short points."""
@@ -175,17 +219,6 @@ class SoakConfig:
             factor=min(self.factor, 0.002),
             load_points=tuple(self.load_points[:2] or (1.0,)),
         )
-
-
-@dataclass
-class _Sample:
-    """One differentially-checked response."""
-
-    tenant: str
-    template: str
-    query: str
-    text: str
-    multiplier: float
 
 
 @dataclass
@@ -200,79 +233,87 @@ class _TenantDrive:
     errors: dict[str, int] = field(default_factory=dict)
 
 
+@dataclass
+class _Answers:
+    """Every OK answer checked against the oracle; failures that are
+    not typed service errors (event-loop thread only)."""
+
+    #: query text -> the reference interpreter's items
+    oracle: dict[str, list[Any]]
+    checked: int = 0
+    wrong: list[str] = field(default_factory=list)
+    crashes: list[str] = field(default_factory=list)
+    #: the first OK answer per (query, engine), serialized after the storm
+    first: dict[tuple[str, Engine], tuple[str, Any]] = field(
+        default_factory=dict
+    )
+
+    def check(self, label: str, query: str, engine: Engine, items: Any) -> None:
+        self.checked += 1
+        if items != self.oracle[query]:
+            self.wrong.append(label)
+        self.first.setdefault((query, engine), (label, items))
+
+
 def _schedule(
     profile: TenantProfile,
     multiplier: float,
     duration_s: float,
     rng: random.Random,
-) -> list[tuple[float, str]]:
+) -> list[tuple[float, str, Engine]]:
     """The tenant's precomputed open-loop arrival plan: Poisson
     inter-arrival gaps at ``multiplier * rate_qps``, each arrival
-    drawing one template uniformly."""
+    drawing one template and one SQL engine uniformly."""
     rate = profile.rate_qps * multiplier
     names = sorted(profile.queries)
-    arrivals: list[tuple[float, str]] = []
+    arrivals: list[tuple[float, str, Engine]] = []
     t = 0.0
     while True:
         t += rng.expovariate(rate)
         if t >= duration_s:
             return arrivals
-        arrivals.append((t, rng.choice(names)))
+        arrivals.append((t, rng.choice(names), rng.choice(Engine.sql_engines())))
 
 
 async def _drive_tenant(
     door: FrontDoor,
-    service: ShardedService,
     profile: TenantProfile,
-    arrivals: Sequence[tuple[float, str]],
+    arrivals: Sequence[tuple[float, str, Engine]],
     drive: _TenantDrive,
-    sampler: random.Random,
-    samples: list[_Sample],
-    config: SoakConfig,
-    multiplier: float,
+    answers: _Answers,
 ) -> None:
     loop = asyncio.get_running_loop()
     t0 = loop.time()
     inflight: set[asyncio.Task] = set()
 
-    async def one(template: str) -> None:
+    async def one(template: str, engine: Engine) -> None:
         drive.offered += 1
+        query = profile.queries[template]
+        label = f"{profile.name}/{template}/{engine}"
         try:
-            result = await door.submit(
-                profile.name, profile.queries[template]
-            )
+            result = await door.submit(profile.name, query, engine)
         except QuotaExceeded:
             drive.rejected_quota += 1
         except ServiceOverloaded:
             drive.rejected_overload += 1
         except Exception as error:
-            # deadline misses and surfaced injected faults — tallied,
-            # not re-raised: an open-loop driver keeps arriving
+            # deadline misses and surfaced faults are tallied, not
+            # re-raised: an open-loop driver keeps arriving
             name = type(error).__name__
             drive.errors[name] = drive.errors.get(name, 0) + 1
+            if not isinstance(error, ServiceError):
+                answers.crashes.append(f"{label}: {name}: {error}")
         else:
             drive.ok += 1
-            if (
-                len(samples) < config.max_differential_samples
-                and sampler.random() < config.differential_rate
-            ):
-                samples.append(
-                    _Sample(
-                        tenant=profile.name,
-                        template=template,
-                        query=profile.queries[template],
-                        text=service.serialize(result),
-                        multiplier=multiplier,
-                    )
-                )
+            answers.check(label, query, engine, result)
 
     # open loop: arrivals fire on the Poisson clock regardless of how
     # many submissions are still in flight
-    for when, template in arrivals:
+    for when, template, engine in arrivals:
         delay = when - (loop.time() - t0)
         if delay > 0:
             await asyncio.sleep(delay)
-        task = asyncio.create_task(one(template))
+        task = asyncio.create_task(one(template, engine))
         inflight.add(task)
         task.add_done_callback(inflight.discard)
     if inflight:
@@ -283,45 +324,29 @@ async def _run_point(
     service: ShardedService,
     config: SoakConfig,
     multiplier: float,
-    point_index: int,
-    samples: list[_Sample],
+    schedules: Sequence[list[tuple[float, str, Engine]]],
+    answers: _Answers,
 ) -> dict[str, Any]:
     drives = {profile.name: _TenantDrive() for profile in config.tenants}
-    sampler = random.Random(config.seed * 7919 + point_index)
     started = time.perf_counter()
     async with FrontDoor(
         service,
         [profile.spec() for profile in config.tenants],
+        max_concurrent_batches=_BATCHES,
         deadline_s=config.deadline_s,
     ) as door:
         await asyncio.gather(
             *(
                 _drive_tenant(
-                    door,
-                    service,
-                    profile,
-                    _schedule(
-                        profile,
-                        multiplier,
-                        config.duration_s,
-                        random.Random(
-                            config.seed * 1_000_003
-                            + point_index * 101
-                            + tenant_index
-                        ),
-                    ),
-                    drives[profile.name],
-                    sampler,
-                    samples,
-                    config,
-                    multiplier,
+                    door, profile, arrivals, drives[profile.name], answers
                 )
-                for tenant_index, profile in enumerate(config.tenants)
+                for profile, arrivals in zip(config.tenants, schedules)
             )
         )
         elapsed_s = time.perf_counter() - started
-        door_stats = door.stats()
-        ledger = door.fault_ledger()
+    # read after the door closed: every batch has merged its counters
+    door_stats = door.stats()
+    ledger = door.fault_ledger()
     per_tenant: dict[str, Any] = {}
     for profile in config.tenants:
         drive = drives[profile.name]
@@ -368,41 +393,6 @@ def _fairness_index(values: Sequence[float]) -> float:
     return square_of_sum / (len(values) * sum_of_squares)
 
 
-def _differential_check(
-    samples: Sequence[_Sample],
-    texts: Sequence[tuple[str, str]],
-) -> dict[str, Any]:
-    """Re-execute every sampled query on a bare serial processor —
-    faults are off by now — and demand byte-identical serialization."""
-    if not samples:
-        return {"sampled": 0, "checked": 0, "mismatches": []}
-    processor = XQueryProcessor()
-    for text, uri in texts:
-        processor.load(text, uri)
-    reference: dict[str, str] = {}
-    mismatches: list[dict[str, Any]] = []
-    for sample in samples:
-        expected = reference.get(sample.query)
-        if expected is None:
-            items = processor.execute(sample.query)
-            expected = reference[sample.query] = processor.serialize(items)
-        if sample.text != expected:
-            mismatches.append(
-                {
-                    "tenant": sample.tenant,
-                    "template": sample.template,
-                    "multiplier": sample.multiplier,
-                    "got_bytes": len(sample.text),
-                    "expected_bytes": len(expected),
-                }
-            )
-    return {
-        "sampled": len(samples),
-        "checked": len(samples),
-        "mismatches": mismatches,
-    }
-
-
 def _find_knee(curve: Sequence[dict[str, Any]]) -> dict[str, Any]:
     """The last load point — scanning the curve in offered order —
     where goodput still tracks offered load within 10%; past it the
@@ -420,66 +410,190 @@ def _find_knee(curve: Sequence[dict[str, Any]]) -> dict[str, Any]:
     }
 
 
-def run_soak(config: SoakConfig | None = None) -> dict[str, Any]:
-    """Run the soak curve; returns the ``repro.bench.soak/v2`` report."""
-    cfg = config or SoakConfig()
-    corpus = CorpusConfig(
-        documents=cfg.documents, factor=cfg.factor, seed=cfg.seed
+def _point_ledger(
+    injected: dict[str, int],
+    absorbed: dict[str, int],
+    handled: dict[str, int],
+    per_tenant: Mapping[str, Any],
+) -> dict[str, Any]:
+    """One load point's three ledgers: what the injector delivered,
+    what the service handled, and what the tenants were charged."""
+    injected_total = sum(injected.values())
+    handled_total = sum(handled.values())
+    tenants_total = sum(
+        tenant["faults"]["injected"] for tenant in per_tenant.values()
     )
-    texts = [(serialize(tree), tree.uri) for tree in xmark_corpus(corpus)]
-    samples: list[_Sample] = []
-    curve: list[dict[str, Any]] = []
-    with ShardedService(
-        Collection(cfg.shards),
-        deadline_s=cfg.deadline_s,
-    ) as service:
-        for text, uri in texts:
-            service.load(text, uri)
-        faults_on = cfg.fault_rate > 0
-        plan = (
-            FaultPlan.uniform(cfg.fault_rate, seed=cfg.fault_seed)
-            if faults_on
-            else None
+    return {
+        "injected": injected,
+        "absorbed": absorbed,
+        "injected_total": injected_total,
+        "handled": handled,
+        "handled_total": handled_total,
+        "tenants_total": tenants_total,
+        "balanced": (
+            injected_total == handled_total == tenants_total
+            and all(t["ledger_balanced"] for t in per_tenant.values())
+        ),
+    }
+
+
+def _flight_analysis(
+    recorder: FlightRecorder,
+) -> tuple[dict[str, Any], dict[str, Any]]:
+    """Classify the storm's flight records into clean / degraded /
+    surfaced latency populations, and check that the slow-query log
+    captured every degraded and surfaced call with diagnostics."""
+    populations = {
+        "clean": Histogram(),
+        "degraded": Histogram(),
+        "surfaced": Histogram(),
+    }
+    expected: set[int] = set()
+    for record in recorder.records():
+        if record.surfaced:
+            populations["surfaced"].observe(record.elapsed_ns)
+            expected.add(record.seq)
+        elif record.degraded:
+            populations["degraded"].observe(record.elapsed_ns)
+            expected.add(record.seq)
+        else:
+            populations["clean"].observe(record.elapsed_ns)
+    captures = recorder.slow()
+    captured = {capture.record.seq for capture in captures}
+    with_diagnostics = sum(
+        1 for capture in captures if capture.explain and capture.trace
+    )
+    latency = {
+        name: latency_summary_ms(histogram)
+        for name, histogram in populations.items()
+    }
+    slow_log = {
+        "expected": len(expected),
+        "captured": len(captured & expected),
+        "with_diagnostics": with_diagnostics,
+        "complete": expected <= captured
+        and with_diagnostics == len(captures),
+    }
+    return latency, slow_log
+
+
+def _target(
+    config: SoakConfig, arrivals: int
+) -> tuple[ShardedService, dict[str, list[Any]], dict[str, str]]:
+    """The storm target, and the oracle's items and serialization per
+    query text, computed on the reference interpreter over the combined
+    store before any fault is injected."""
+    collection = Collection(config.shards)
+    corpus = xmark_corpus(
+        CorpusConfig(
+            documents=config.documents, factor=config.factor, seed=config.seed
         )
-        for point_index, multiplier in enumerate(
-            sorted(cfg.load_points)
+    )
+    for index, tree in enumerate(corpus):
+        collection.load_tree(tree, shard=index % config.shards)
+    reference = XQueryProcessor(
+        store=collection.combined_store(),
+        default_doc=corpus[0].uri,
+        collections=collection.resolve,
+    )
+    oracle: dict[str, list[Any]] = {}
+    texts: dict[str, str] = {}
+    for profile in config.tenants:
+        for query in profile.queries.values():
+            if query not in oracle:
+                items = reference.execute(query, engine="interpreter")
+                oracle[query] = items
+                texts[query] = reference.serialize(items)
+    service = ShardedService(
+        collection,
+        default_doc=corpus[0].uri,
+        # one dispatch thread per shard for each batch the front door
+        # runs at once: a stalled shard task holds up its own call only
+        workers=_BATCHES * config.shards,
+        deadline_s=config.deadline_s,
+        # every call retained, promotion by degradation or surfacing
+        # only: the latency threshold is parked effectively at
+        # infinity (finite, so the snapshot stays JSON-clean)
+        flight_recorder=FlightRecorder(
+            capacity=max(1, arrivals),
+            slow_capacity=max(1, arrivals),
+            slow_threshold_s=1e9,
+        ),
+    )
+    return service, oracle, texts
+
+
+def run_soak(config: SoakConfig | None = None) -> dict[str, Any]:
+    """Run the storm; returns the ``repro.bench.soak/v3`` report."""
+    cfg = config or SoakConfig()
+    multipliers = sorted(cfg.load_points)
+    schedules = [
+        [
+            _schedule(
+                profile,
+                multiplier,
+                cfg.duration_s,
+                random.Random(
+                    cfg.seed * 1_000_003 + point_index * 101 + tenant_index
+                ),
+            )
+            for tenant_index, profile in enumerate(cfg.tenants)
+        ]
+        for point_index, multiplier in enumerate(multipliers)
+    ]
+    service, oracle, texts = _target(
+        cfg, sum(len(plan) for point in schedules for plan in point)
+    )
+    answers = _Answers(oracle)
+    faults_on = cfg.fault_rate > 0
+    curve: list[dict[str, Any]] = []
+    with service:
+        for point_index, (multiplier, point_schedules) in enumerate(
+            zip(multipliers, schedules)
         ):
-            scope = injection(plan) if plan is not None else nullcontext()
-            with scope as injector:
+            plan = FaultPlan.uniform(
+                cfg.fault_rate, seed=cfg.seed + point_index,
+                stall_ms=cfg.stall_ms,
+            )
+            before = service.fault_accounting
+            with injection(plan) if faults_on else nullcontext() as injector:
                 point = asyncio.run(
-                    _run_point(service, cfg, multiplier, point_index, samples)
+                    _run_point(
+                        service, cfg, multiplier, point_schedules, answers
+                    )
                 )
-                point["faults_injected"] = (
-                    injector.counts.snapshot() if injector is not None else {}
-                )
+            after = service.fault_accounting
+            point["faults"] = _point_ledger(
+                injector.counts.snapshot() if injector else {},
+                injector.counts.absorbed_snapshot() if injector else {},
+                {kind: after[kind] - before[kind] for kind in after},
+                point["per_tenant"],
+            )
             curve.append(point)
-        flight = service.stats().get("flight")
-    differential = _differential_check(samples, texts)
+        for (query, _), (label, items) in sorted(answers.first.items()):
+            if service.serialize(items) != texts[query]:
+                answers.wrong.append(f"{label} (serialized)")
+        latency, slow_log = _flight_analysis(service.flight)
     saturated = curve[-1]
     fairness_values = [
         saturated["per_tenant"][profile.name]["goodput_qps"] / profile.weight
         for profile in cfg.tenants
     ]
     fairness = _fairness_index(fairness_values)
-    ledger_balanced = all(
-        tenant["ledger_balanced"]
-        for point in curve
-        for tenant in point["per_tenant"].values()
-    )
+    ledger_balanced = all(point["faults"]["balanced"] for point in curve)
     knee = _find_knee(curve)
     report = {
         "schema": SCHEMA,
         "metadata": {
             "seed": cfg.seed,
             "duration_s": cfg.duration_s,
-            "load_points": sorted(cfg.load_points),
+            "load_points": multipliers,
             "shards": cfg.shards,
             "documents": cfg.documents,
             "factor": cfg.factor,
             "deadline_s": cfg.deadline_s,
             "fault_rate": cfg.fault_rate,
-            "fault_seed": cfg.fault_seed,
-            "differential_rate": cfg.differential_rate,
+            "stall_ms": cfg.stall_ms,
         },
         "tenants": {
             profile.name: {
@@ -505,13 +619,21 @@ def run_soak(config: SoakConfig | None = None) -> dict[str, Any]:
             "rate": cfg.fault_rate,
             "ledger_balanced": ledger_balanced,
         },
-        "differential": differential,
-        "flight": flight,
+        "answers": {
+            "checked": answers.checked,
+            "serialized": len(answers.first),
+            "wrong": answers.wrong,
+            "crashes": answers.crashes,
+        },
+        "latency": latency,
+        "slow_log": slow_log,
         "gates": {
+            "no_wrong_answers": not answers.wrong,
+            "no_crashes": not answers.crashes,
+            "ledger_balanced": ledger_balanced,
+            "slow_log_complete": slow_log["complete"],
             "knee_found": knee["multiplier"] is not None,
             "fairness_ok": fairness >= 0.9,
-            "ledger_balanced": ledger_balanced,
-            "differential_ok": not differential["mismatches"],
         },
     }
     report["gates"]["passed"] = all(report["gates"].values())
@@ -519,27 +641,36 @@ def run_soak(config: SoakConfig | None = None) -> dict[str, Any]:
 
 
 def format_soak_report(report: dict[str, Any]) -> str:
-    """Human-readable rendering of a soak report."""
+    """Human-readable rendering of a storm report."""
+    metadata = report["metadata"]
+    answers = report["answers"]
     lines = [
-        f"soak [{report['schema']}] — "
-        f"{len(report['tenants'])} tenants, "
-        f"faults {'on' if report['faults']['enabled'] else 'off'}"
+        f"storm [{report['schema']}] — seed {metadata['seed']}, "
+        f"{len(report['tenants'])} tenants, {metadata['documents']} "
+        f"document(s) on {metadata['shards']} shard(s), faults "
+        + (
+            f"at {metadata['fault_rate']:.0%}"
+            if report["faults"]["enabled"]
+            else "off"
+        ),
+        f"{'mult':>6} {'offered/s':>10} {'goodput/s':>10} {'ratio':>6} "
+        f"{'injected/handled/tenants':>25}  per-tenant p99 (ms)",
     ]
-    header = (
-        f"{'mult':>6} {'offered/s':>10} {'goodput/s':>10} "
-        f"{'ratio':>6}  per-tenant p99 (ms)"
-    )
-    lines.append(header)
     for point in report["curve"]:
+        faults = point["faults"]
         p99s = ", ".join(
             f"{name}={stats['latency_ms']['p99']:.1f}"
             for name, stats in sorted(point["per_tenant"].items())
+        )
+        ledger = (
+            f"{faults['injected_total']}/{faults['handled_total']}/"
+            f"{faults['tenants_total']}"
         )
         lines.append(
             f"{point['multiplier']:>6.2f} "
             f"{point['offered_qps']:>10.1f} "
             f"{point['goodput_qps']:>10.1f} "
-            f"{point['goodput_ratio']:>6.2f}  {p99s}"
+            f"{point['goodput_ratio']:>6.2f} {ledger:>25}  {p99s}"
         )
     knee = report["knee"]
     lines.append(
@@ -552,9 +683,22 @@ def format_soak_report(report: dict[str, Any]) -> str:
         f"{report['fairness']['index']:.3f}"
     )
     lines.append(
-        f"fault ledger balanced: {report['faults']['ledger_balanced']}; "
-        f"differential: {report['differential']['sampled']} sampled, "
-        f"{len(report['differential']['mismatches'])} mismatches"
+        f"answers: {answers['checked']} checked against the oracle, "
+        f"{answers['serialized']} serialized; {len(answers['wrong'])} "
+        f"wrong, {len(answers['crashes'])} crashes"
+    )
+    for population, summary in report["latency"].items():
+        if summary["count"]:
+            lines.append(
+                f"{population + ' latency':<17}: p50 {summary['p50']:.2f} / "
+                f"p95 {summary['p95']:.2f} / p99 {summary['p99']:.2f} ms "
+                f"over {summary['count']} call(s)"
+            )
+    slow_log = report["slow_log"]
+    lines.append(
+        f"slow-query log   : {slow_log['captured']}/{slow_log['expected']} "
+        f"degraded+surfaced calls captured ({slow_log['with_diagnostics']} "
+        f"with explain+trace)"
     )
     lines.append(
         "gates: "

@@ -12,10 +12,9 @@ import json
 from pathlib import Path
 
 SCHEMAS = (
-    "repro.faults.campaign/v5",
     "repro.obs.metrics/v1",
     "repro.obs.flight/v1",
-    "repro.bench.soak/v2",
+    "repro.bench.soak/v3",
 )
 
 _LATENCY_KEYS = {"count", "mean", "p50", "p90", "p95", "p99", "max"}
@@ -24,56 +23,6 @@ _LATENCY_KEYS = {"count", "mean", "p50", "p90", "p95", "p99", "max"}
 def _json_ready(doc) -> None:
     text = json.dumps(doc)
     assert "Infinity" not in text and "NaN" not in text
-
-
-# -- repro.faults.campaign/v5 ----------------------------------------------
-
-
-def _check_campaign(report: dict) -> None:
-    assert report["schema"] == "repro.faults.campaign/v5"
-    assert "mode" not in report  # removed in v5
-    contract = report["contract"]
-    assert contract["holds"] is True
-    faults = report["faults"]
-    assert faults["injected_total"] == faults["handled_total"]
-    assert set(report["latency"]) == {"clean", "degraded", "surfaced"}
-    for summary in report["latency"].values():
-        assert set(summary) == _LATENCY_KEYS
-    total = sum(summary["count"] for summary in report["latency"].values())
-    assert total == report["calls"]
-    slow_log = report["slow_log"]
-    assert slow_log["complete"] is True
-    assert slow_log["captured"] == slow_log["expected"]
-    assert "executor" not in report["config"]  # removed in v4
-    _json_ready(report)
-
-
-def test_faults_campaign_v5_one_shard():
-    from repro.faults.campaign import ChaosConfig, run_chaos_campaign
-
-    report = run_chaos_campaign(
-        ChaosConfig(
-            seed=3, threads=2, queries_per_thread=3, rate=0.3,
-            factor=0.001, stall_ms=100.0, deadline_s=5.0, documents=1,
-        )
-    )
-    assert report["config"]["shards"] == 1
-    _check_campaign(report)
-
-
-def test_faults_campaign_v5_two_shards():
-    from repro.faults.campaign import ChaosConfig, run_chaos_campaign
-
-    report = run_chaos_campaign(
-        ChaosConfig(
-            seed=11, threads=2, queries_per_thread=3, rate=0.25,
-            factor=0.001, stall_ms=100.0, deadline_s=5.0,
-            shards=2, documents=2,
-        )
-    )
-    assert report["config"]["shards"] == 2
-    assert report["outcomes"]["wrong"] == []
-    _check_campaign(report)
 
 
 # -- repro.obs.metrics/v1 --------------------------------------------------
@@ -148,33 +97,45 @@ def test_validate_flight_snapshot_rejects_bad_documents():
     assert validate_flight_snapshot({"schema": "nope/v1"}) != []
 
 
-# -- repro.bench.soak/v2 ---------------------------------------------------
+# -- repro.bench.soak/v3 ---------------------------------------------------
 
 
-def test_bench_soak_v2():
+def test_bench_soak_v3():
     from repro.workloads.soak import SoakConfig, run_soak
 
     report = run_soak(
         SoakConfig(
-            duration_s=1.0,
+            duration_s=0.5,
             documents=2,
             factor=0.002,
             load_points=(1.0,),
-            fault_rate=0.0,
-            differential_rate=1.0,
-            max_differential_samples=8,
+            fault_rate=0.2,
+            deadline_s=0.5,
         )
     )
-    assert report["schema"] == "repro.bench.soak/v2"
-    assert len(report["tenants"]) >= 3
+    assert report["schema"] == "repro.bench.soak/v3"
+    metadata = report["metadata"]
+    # removed in v3 (one seed; the answer checks replace sampling)
+    assert not {"fault_seed", "differential_rate"} & set(metadata)
+    assert "executor" not in metadata  # removed in v2
+    assert metadata["stall_ms"] == 2_000.0 * metadata["deadline_s"]
+    assert len(report["tenants"]) == 4
     for profile in report["tenants"].values():
         assert profile["rate_qps"] > 0
         assert profile["weight"] > 0
         assert profile["templates"]
-    assert "executor" not in report["metadata"]  # removed in v2
     [point] = report["curve"]
     assert point["multiplier"] == 1.0
     assert set(point["frontdoor"]) == {"queue", "counters"}
+    assert "faults_injected" not in point  # v3: the point's ledgers
+    faults = point["faults"]
+    assert set(faults) == {
+        "injected", "absorbed", "injected_total", "handled",
+        "handled_total", "tenants_total", "balanced",
+    }
+    assert set(faults["handled"]) == {"retry", "degrade", "surface"}
+    assert faults["injected_total"] == faults["handled_total"]
+    assert faults["injected_total"] == faults["tenants_total"]
     assert point["offered"] >= point["ok"]
     for tenant in point["per_tenant"].values():
         assert set(tenant["latency_ms"]) == _LATENCY_KEYS
@@ -182,26 +143,31 @@ def test_bench_soak_v2():
             "injected", "retried", "degraded", "surfaced",
         }
         assert tenant["ledger_balanced"] is True
-        assert tenant["offered"] == (
-            tenant["ok"]
-            + tenant["rejected_quota"]
-            + tenant["rejected_overload"]
-            + sum(tenant["errors"].values())
-        )
     assert set(report["knee"]) == {
         "multiplier", "goodput_qps", "goodput_ratio",
     }
-    fairness = report["fairness"]
-    assert 0.0 < fairness["index"] <= 1.0
-    assert report["faults"]["enabled"] is False
-    differential = report["differential"]
-    assert differential["sampled"] >= 1
-    assert differential["mismatches"] == []
-    gates = report["gates"]
-    assert set(gates) >= {
-        "knee_found", "fairness_ok", "ledger_balanced",
-        "differential_ok", "passed",
+    assert 0.0 < report["fairness"]["index"] <= 1.0
+    assert report["faults"]["enabled"] is True
+    assert "differential" not in report and "flight" not in report
+    answers = report["answers"]
+    assert set(answers) == {"checked", "serialized", "wrong", "crashes"}
+    assert answers["wrong"] == [] and answers["crashes"] == []
+    assert set(report["latency"]) == {"clean", "degraded", "surfaced"}
+    for summary in report["latency"].values():
+        assert set(summary) == _LATENCY_KEYS
+    slow_log = report["slow_log"]
+    assert set(slow_log) == {
+        "expected", "captured", "with_diagnostics", "complete",
     }
+    assert slow_log["captured"] == slow_log["expected"]
+    gates = report["gates"]
+    assert set(gates) == {
+        "no_wrong_answers", "no_crashes", "ledger_balanced",
+        "slow_log_complete", "knee_found", "fairness_ok", "passed",
+    }
+    assert gates["passed"] == all(
+        value for name, value in gates.items() if name != "passed"
+    )
     _json_ready(report)
 
 

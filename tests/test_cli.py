@@ -222,57 +222,73 @@ def test_obs_subcommand_shows_service_section(doc, capsys):
 
 
 def test_serve_bench_subcommand(capsys):
-    """Without --faults or --soak there is nothing to run: the parser
-    refuses and names the throughput benchmark."""
+    """serve-bench has one mode: the flags of the removed chaos and
+    soak modes are refused, and so is a single tenant."""
+    for removed in (
+        ["--faults"], ["--soak"], ["--threads", "4"],
+        ["--queries-per-thread", "5"], ["--fault-seed", "7"],
+    ):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["serve-bench", *removed])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
     with pytest.raises(SystemExit) as exit_info:
-        main(["serve-bench", "--quick"])
+        main(["serve-bench", "--tenants", "1"])
     assert exit_info.value.code == 2
-    assert "benchmarks/e2e/run.py" in capsys.readouterr().err
 
 
 def test_serve_bench_faults_subcommand(capsys, tmp_path):
-    out_path = tmp_path / "chaos.json"
-    out = run(
-        capsys,
+    """``--fault-rate 0`` runs the same storm with faults off."""
+    out_path = tmp_path / "storm.json"
+    code = main([
         "serve-bench",
-        "--faults",
-        "--fault-rate", "0.15",
-        "--fault-seed", "7",
-        "--factor", "0.002",
-        "--threads", "4",
-        "--queries-per-thread", "5",
-        "--deadline", "1.0",
+        "--quick",
+        "--duration", "0.5",
+        "--load-points", "1.0",
+        "--fault-rate", "0",
+        "--tenants", "2",
         "--out", str(out_path),
-    )
-    assert "chaos campaign" in out
-    assert "contract" in out and "HOLDS" in out
+    ])
+    assert "faults off" in capsys.readouterr().out
     report = json.loads(out_path.read_text())
-    assert report["schema"] == "repro.faults.campaign/v5"
-    assert "mode" not in report
-    assert report["config"]["seed"] == 7
-    assert report["contract"]["holds"] is True
-    assert report["faults"]["injected_total"] == report["faults"]["handled_total"]
+    assert report["faults"]["enabled"] is False
+    assert list(report["tenants"]) == ["interactive", "analytics"]
+    [point] = report["curve"]
+    assert point["faults"]["injected_total"] == 0
+    gates = report["gates"]
+    assert code == (0 if gates["passed"] else 1)
+    assert gates["no_wrong_answers"] and gates["no_crashes"], gates
 
 
 def test_serve_bench_soak_subcommand(capsys, tmp_path):
-    out_path = tmp_path / "soak.json"
-    out = run(
-        capsys,
+    out_path = tmp_path / "storm.json"
+    code = main([
         "serve-bench",
-        "--soak",
         "--quick",
         "--duration", "1.0",
         "--load-points", "1.0",
         "--documents", "2",
         "--factor", "0.002",
-        "--faults",
-        "--fault-rate", "0.1",
+        "--fault-rate", "0.15",
+        "--seed", "7",
+        "--deadline", "0.5",
         "--out", str(out_path),
-    )
-    assert "soak [repro.bench.soak/v2]" in out
-    assert "fairness" in out and "knee" in out
+    ])
+    out = capsys.readouterr().out
+    assert "storm [repro.bench.soak/v3]" in out
+    assert "fairness" in out and "knee" in out and "seed 7" in out
     report = json.loads(out_path.read_text())
-    assert report["schema"] == "repro.bench.soak/v2"
-    assert len(report["tenants"]) == 3
+    assert report["schema"] == "repro.bench.soak/v3"
+    assert report["metadata"]["seed"] == 7
+    assert report["metadata"]["shards"] == 2
+    assert len(report["tenants"]) == 4
     assert report["faults"]["enabled"] is True
-    assert report["gates"]["passed"] is True
+    [point] = report["curve"]
+    assert point["faults"]["injected_total"] == point["faults"]["handled_total"]
+    # exit status 1 exactly when a gate fails; the contract gates hold
+    # (the knee and fairness of a one-second point are not asserted)
+    gates = report["gates"]
+    assert code == (0 if gates["passed"] else 1)
+    for gate in ("no_wrong_answers", "no_crashes", "ledger_balanced",
+                 "slow_log_complete"):
+        assert gates[gate], gates

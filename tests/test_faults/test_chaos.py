@@ -1,82 +1,22 @@
-"""The randomized chaos campaign gate, and a mid-storm reload test
-proving the service never serves stale results.
+"""A mid-storm reload test proving the service never serves stale
+results.
 
-These are the heavyweight tests of the suite (multi-threaded storms
-over an XMark instance); CI additionally runs the full-size campaign
-as a separate job via ``repro serve-bench --faults``.
+The fault storm's own gates (correct answers, typed errors, the
+three-way fault ledger) are tested in
+``tests/test_workloads/test_soak.py``; CI runs the full-size storm via
+``repro serve-bench``.
 """
 
 from __future__ import annotations
 
 import threading
-from dataclasses import replace
 from random import Random
-
-import pytest
 
 from repro.errors import ServiceError
 from repro.faults import FaultPlan, injection
-from repro.faults.campaign import (
-    ChaosConfig,
-    format_chaos_report,
-    run_chaos_campaign,
-)
 from repro.pipeline import XQueryProcessor
 from repro.service import ShardedService
 from repro.store import Collection
-
-GATE_CONFIG = ChaosConfig(
-    seed=7,
-    threads=8,
-    queries_per_thread=8,
-    rate=0.15,  # the gate requires >= 10% injected-fault rate
-    factor=0.002,
-    deadline_s=1.0,
-    stall_ms=4_000.0,  # stalls always overrun the deadline
-    breaker_reset_s=0.02,
-)
-
-
-def test_chaos_campaign_contract_holds():
-    # the same storm on one shard and on two: the mix routes its XMark
-    # queries to the default document and scatters its collection()
-    # queries across the shards
-    for shards in (1, 2):
-        config = replace(GATE_CONFIG, shards=shards)
-        report = run_chaos_campaign(config)
-        outcomes = report["outcomes"]
-        faults = report["faults"]
-
-        # the storm actually stormed
-        assert report["calls"] == config.threads * config.queries_per_thread
-        assert faults["injected_total"] > 0, shards
-
-        # the contract: correct answer or clean typed error, nothing else
-        assert outcomes["wrong"] == [], shards
-        assert outcomes["crashes"] == [], shards
-        assert (
-            outcomes["ok"] + sum(outcomes["typed_errors"].values())
-            == report["calls"]
-        )
-
-        # the accounting gate: every injected fault has exactly one
-        # disposition — retried, degraded, or surfaced as a typed error
-        handled = faults["handled"]
-        assert faults["injected_total"] == (
-            handled["retry"] + handled["degrade"] + handled["surface"]
-        )
-        assert report["contract"]["holds"], shards
-
-        # the report is renderable and says so
-        rendered = format_chaos_report(report)
-        assert "HOLDS" in rendered
-        assert f"seed {config.seed}" in rendered
-        assert f"on {shards} shard(s)" in rendered
-
-
-def test_unknown_collection_query_name_is_rejected_up_front():
-    with pytest.raises(ValueError, match=r"CX9.*known.*CX1.*CX4.*X1"):
-        ChaosConfig(query_mix=("X1", "CX1", "CX9"))
 
 
 def test_no_stale_results_across_midstorm_reload():

@@ -14,6 +14,7 @@ from repro.errors import (
     ServiceError,
     ServiceOverloaded,
 )
+from repro.faults import FaultPlan, injection
 from repro.service import FrontDoor, ShardedService, TenantSpec
 from repro.store import Collection
 
@@ -276,3 +277,28 @@ def test_per_tenant_latency_and_counters_accumulate():
         asyncio.run(scenario())
     finally:
         service.close()
+
+
+def test_scatter_deadline_attributes_every_shard_fault_to_the_tenant():
+    """A stall on every shard outlives the caller's deadline wait; the
+    shard tasks still count their stall and its surfacing, and the
+    tenant ledger must hold both before the front door reads it."""
+    service = make_service(deadline_s=0.3)
+    try:
+        service.parallel_fanout = True  # the fan-out waits on dispatch threads
+
+        async def scenario():
+            async with FrontDoor(service, [generous("alpha")]) as door:
+                with pytest.raises(DeadlineExceeded):
+                    await door.submit("alpha", "collection()//a")
+                return door.fault_ledger()["alpha"]
+
+        before = sum(service.fault_accounting.values())
+        with injection(FaultPlan(stall=1.0, stall_ms=4_000.0)) as injector:
+            tenant = asyncio.run(scenario())
+        handled = sum(service.fault_accounting.values()) - before
+    finally:
+        service.close()
+    assert injector.counts.total == 2
+    assert handled == 2
+    assert tenant == {"injected": 2, "retried": 0, "degraded": 0, "surfaced": 2}
