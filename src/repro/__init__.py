@@ -54,7 +54,6 @@ from repro.engines import Engine
 from repro.errors import (
     AnalysisError,
     BackendUnavailable,
-    CircuitOpenError,
     CodegenError,
     CompileError,
     DeadlineExceeded,
@@ -83,13 +82,12 @@ from repro.service import (
 )
 from repro.store import Collection
 
-__version__ = "3.0.0"
+__version__ = "4.0.0"
 
 __all__ = [
     "AnalysisError",
     "BackendUnavailable",
     "CacheStats",
-    "CircuitOpenError",
     "CodegenError",
     "Collection",
     "CompileError",

@@ -34,7 +34,6 @@ from typing import Any, Iterable, Sequence
 from repro.engines import Engine
 from repro.result import Result, Serialized
 from repro.service.cache import CacheStats
-from repro.service.resilience import RetryPolicy
 from repro.service.scatter import ShardedService
 from repro.store import Collection
 
@@ -156,16 +155,9 @@ def connect(
     default_doc: str | None = None,
     serialize_step: bool = False,
     workers: int = 4,
-    cache_capacity: int = 256,
-    indexes: dict[str, tuple[str, ...]] | None = None,
     deadline_s: float | None = None,
-    retry: RetryPolicy | None = None,
-    degrade: bool = True,
     flight: bool = True,
     slow_threshold_s: float = 0.25,
-    views: bool = True,
-    view_budget_bytes: int = 4 << 20,
-    view_admit_after: int = 3,
 ) -> Session:
     """Open a query :class:`Session`.
 
@@ -183,14 +175,8 @@ def connect(
     workers:
         Worker threads for :meth:`Session.run_many`; each shard's
         dispatch width is ``max(1, workers // shards)``.
-    cache_capacity:
-        Compiled-plan LRU size.
-    indexes:
-        SQL index set override (``None`` = the paper's Table 6).
-    deadline_s, retry, degrade:
-        Resilience defaults: per-query time budget, transient-error
-        retry policy, and graceful degradation (see
-        ``docs/robustness.md``).
+    deadline_s:
+        The default per-query time budget (see ``docs/robustness.md``).
     flight, slow_threshold_s:
         The query flight recorder (on by default): one structured
         record per query plus a slow-query log promoting queries over
@@ -198,13 +184,10 @@ def connect(
         ``session.service.flight``, summarized (with latency
         percentiles) by :meth:`Session.stats`.  See
         ``docs/observability.md``.
-    views, view_budget_bytes, view_admit_after:
-        The materialized-view cache tier (on by default): queries hot
-        for ``view_admit_after`` executions get their results
-        materialized (LRU within ``view_budget_bytes``), and later
-        queries whose pattern is strictly contained in a view's are
-        answered from the view without compiling.  See
-        ``docs/caching.md``.
+
+    The plan cache, the materialized-view tier, the index set and the
+    retry/breaker/degradation ladder are constants (``docs/api.md``
+    lists the values).
     """
     return Session(
         ShardedService(
@@ -212,15 +195,8 @@ def connect(
             default_doc=default_doc,
             serialize_step=serialize_step,
             workers=workers,
-            cache_capacity=cache_capacity,
-            indexes=indexes,
             deadline_s=deadline_s,
-            retry=retry,
-            degrade=degrade,
             flight=flight,
             slow_threshold_s=slow_threshold_s,
-            views=views,
-            view_budget_bytes=view_budget_bytes,
-            view_admit_after=view_admit_after,
         )
     )

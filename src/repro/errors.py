@@ -188,19 +188,10 @@ class QuotaExceeded(ServiceError):
         self.retry_after_s = retry_after_s
 
 
-class CircuitOpenError(ServiceError):
-    """The backend circuit breaker is open (repeated backend failures)
-    and graceful degradation is disabled, so the query fails fast
-    instead of queueing against a backend that is known to be sick."""
-
-    code = "repro.service.circuit_open"
-
-
 class BackendUnavailable(ServiceError):
     """The backend kept failing after bounded retries and the degraded
-    (fresh uncached compile+execute) path could not answer either —
-    or degradation is disabled.  The ``__cause__`` chain carries the
-    final backend error."""
+    (fresh uncached compile+execute) path could not answer either.
+    The ``__cause__`` chain carries the final backend error."""
 
     code = "repro.service.backend_unavailable"
 

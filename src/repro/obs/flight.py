@@ -88,9 +88,8 @@ def query_hash(text: str) -> str:
 class FlightContext:
     """Mutable scratchpad one query's instrumentation points write to.
 
-    Cache outcome and scatter decision are *set-once* (the serving
-    boundary wins; nested executions — e.g. the serial fallback's inner
-    service — cannot overwrite them); retries and degradations
+    Cache outcome and scatter decision are *set-once* (the first
+    writer, the serving boundary, wins); retries and degradations
     accumulate under a lock because shard workers annotate the same
     context concurrently.
     """

@@ -25,7 +25,6 @@ from repro.analysis.containment import (
 from repro.engines import Engine
 from repro.errors import (
     BackendUnavailable,
-    CircuitOpenError,
     DeadlineExceeded,
     PoolRetiredError,
     ServiceError,
@@ -130,9 +129,10 @@ class CacheLadder:
         The view tier's membership oracle over the owner's rank space.
     collection:
         The extra key field: the shard layout plans were compiled for.
-    views, view_budget_bytes, view_admit_after:
-        The view tier; forced off under ``serialize_step`` (items are
-        no longer pre ranks).
+
+    The plan cache and the view tier take their class defaults; the
+    view tier is off under ``serialize_step`` (items are no longer pre
+    ranks).
     """
 
     def __init__(
@@ -141,23 +141,15 @@ class CacheLadder:
         source: DocumentStore | Collection,
         residual_filter: ResidualFilter,
         *,
-        capacity: int,
         collection: str,
-        views: bool = True,
-        view_budget_bytes: int = 4 << 20,
-        view_admit_after: int = 3,
     ):
         self.compiler = compiler
         self._source = source
         self._collection = collection
-        self.cache = CompiledQueryCache(capacity)
-        self.views: ViewManager | None = None
-        if views and not compiler.serialize_step:
-            self.views = ViewManager(
-                residual_filter,
-                budget_bytes=view_budget_bytes,
-                admit_after=view_admit_after,
-            )
+        self.cache = CompiledQueryCache()
+        self.views: ViewManager | None = (
+            None if compiler.serialize_step else ViewManager(residual_filter)
+        )
         # the front end shares mutable rewrite-engine state (the
         # fresh-name counter), so cold compiles are single-flight
         self.lock = threading.Lock()
@@ -314,31 +306,24 @@ def resilient_call(
     retry: RetryPolicy,
     deadline: Deadline | None,
     ledger: FaultLedger,
-    breaker: CircuitBreaker | None = None,
-    last_resort: Callable[[], T] | None = None,
+    breaker: CircuitBreaker,
+    last_resort: Callable[[], T],
 ) -> T:
-    """Run one attempt callable, ``call``, under the resilience stack.
+    """Run one attempt callable, ``call``, under the resilience stack:
+    retry, then the one last resort, then a typed error.
 
     A :class:`DeadlineExceeded` surfaces (no retry or last resort could
     answer in time).  Transient failures (:func:`is_transient`) are
     retried with backoff while the policy and the deadline allow;
-    anything else is a real bug and propagates.  On exhaustion
-    ``last_resort`` answers instead — it is also taken when
-    ``breaker`` refuses the call; with none,
-    :class:`BackendUnavailable` is raised.
+    anything else is a real bug and propagates.  On exhaustion — or
+    when ``breaker`` refuses the call — ``last_resort`` answers
+    instead; when it fails too, :class:`BackendUnavailable` is raised.
     """
     metrics = get_metrics()
     attempt = 0
+    failure: BaseException | None = None
     try:
-        while True:
-            if breaker is not None and not breaker.allow():
-                if last_resort is None:
-                    raise CircuitOpenError(
-                        "backend circuit breaker is open and degradation "
-                        "is disabled"
-                    )
-                metrics.count("service.degrade.breaker_fastpath")
-                return last_resort()
+        while breaker.allow():
             try:
                 result = call()
             except DeadlineExceeded as error:
@@ -348,10 +333,10 @@ def resilient_call(
             except (sqlite3.Error, PoolRetiredError) as error:
                 if not is_transient(error):
                     raise
-                if breaker is not None:
-                    breaker.record_failure()
+                breaker.record_failure()
                 if not retry.allows(attempt, deadline):
                     failure = error
+                    metrics.count("service.retry.exhausted")
                     break
                 ledger.note(error, "retry")
                 metrics.count("service.retry.attempts")
@@ -366,37 +351,34 @@ def resilient_call(
                     )
                 attempt += 1
             else:
-                if breaker is not None:
-                    breaker.record_success()
+                breaker.record_success()
                 return result
-        # retries are spent: take the last resort, or surface
-        metrics.count("service.retry.exhausted")
-        if last_resort is None:
-            ledger.note(failure, "surface")
-            raise BackendUnavailable(
-                f"backend failure persisted through {retry.max_retries} "
-                f"retries: {failure}"
-            ) from failure
+        else:
+            metrics.count("service.degrade.breaker_fastpath")
+        # retries are spent or the breaker is open: the last resort
+        # answers, or a typed error surfaces
         try:
             result = last_resort()
         except DeadlineExceeded:
             metrics.count("service.deadline.exceeded")
-            ledger.note(failure, "surface")
+            if failure is not None:
+                ledger.note(failure, "surface")
             raise
         except Exception as fallback_error:
-            ledger.note(failure, "surface")
+            if failure is not None:
+                ledger.note(failure, "surface")
             raise BackendUnavailable(
                 "backend kept failing and the degraded path failed too"
             ) from fallback_error
-        metrics.count("service.degrade.fallbacks")
-        ledger.note(failure, "degrade")
+        if failure is not None:
+            metrics.count("service.degrade.fallbacks")
+            ledger.note(failure, "degrade")
         return result
     finally:
         # a half-open probe admitted by allow() that exited without
         # reporting a verdict (deadline miss, non-transient error) must
         # free the probe slot or the breaker wedges; no-op otherwise
-        if breaker is not None:
-            breaker.release_probe()
+        breaker.release_probe()
 
 
 # -- the serving boundary ---------------------------------------------------

@@ -41,11 +41,7 @@ from typing import Callable, Iterator, TypeVar
 
 from contextlib import contextmanager
 
-from repro.errors import (
-    CircuitOpenError,
-    DeadlineExceeded,
-    PoolRetiredError,
-)
+from repro.errors import DeadlineExceeded, PoolRetiredError
 from repro.obs import get_metrics
 
 __all__ = [
@@ -323,7 +319,7 @@ class CircuitBreaker:
     def __init__(
         self,
         threshold: int = 8,
-        reset_after: float = 1.0,
+        reset_after: float = 0.25,
         clock: Callable[[], float] = time.monotonic,
     ):
         if threshold <= 0:
@@ -418,12 +414,3 @@ class CircuitBreaker:
                 self._probe_owner = None
                 get_metrics().count("service.breaker.probe_released")
                 self._export_state()
-
-    def require(self) -> None:
-        """:meth:`allow` or raise :class:`CircuitOpenError`."""
-        if not self.allow():
-            raise CircuitOpenError(
-                f"circuit breaker is {self.state} after "
-                f"{self._failures} consecutive backend failures"
-            )
-

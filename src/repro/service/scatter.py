@@ -41,21 +41,19 @@ resilient call come from the serving core (:mod:`repro.service.core`),
 and each shard plan runs on that shard's
 :class:`~repro.service.service.StoreExecutor` (the query's one
 deadline spans the fan-out; retries, breaker and degradation apply per
-store).  When a shard still fails with degradation enabled the whole
-query falls back to the serial path — partial results are never
-returned; a spent deadline surfaces as it is.
+store).  A shard that still fails surfaces its typed error — partial
+results are never merged.
 """
 
 from __future__ import annotations
 
 import heapq
-import os
 import threading
 import time
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import fields, is_dataclass
 from functools import partial
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Iterable, Sequence
 
 from repro.analysis.containment import (
     TreePattern,
@@ -77,12 +75,7 @@ from repro.service.core import (
     MetricsBridge,
     ServingBoundary,
 )
-from repro.service.resilience import (
-    CircuitBreaker,
-    Deadline,
-    RetryPolicy,
-    wait_within,
-)
+from repro.service.resilience import Deadline, wait_within
 from repro.service.service import StoreExecutor
 from repro.store import Collection
 from repro.xquery.core import (
@@ -222,40 +215,22 @@ class ShardedService:
     Parameters
     ----------
     collection:
-        The :class:`repro.store.Collection` to serve; default a fresh
-        one with ``shards`` partitions (1 when omitted).
-    default_doc, serialize_step, disabled_rules, checked:
+        The :class:`repro.store.Collection` to serve.
+    default_doc, serialize_step, checked:
         Front-end configuration, as on :class:`XQueryProcessor`; every
         store executor compiles with the same settings.  Note
         ``serialize_step`` forces serial execution (its result shape
-        is not merge-safe across shards).
+        is not merge-safe across shards) and turns the view tier off.
     workers:
         Thread-pool width for :meth:`submit` / :meth:`run_many`
         (:meth:`execute` runs on the caller's thread and is safe to
         call from many; :func:`repro.connect` passes 4).  Each shard's
-        parallel fan-out dispatch width is ``max(1, workers // shards)``.
-    cache_capacity:
-        Compiled-plan LRU size (collection-level plans and their shard
-        variants).
-    cached_statements:
-        Per-connection prepared-statement cache size of every backend
-        pool.
-    indexes:
-        Index set for the SQL backends (``None`` = the paper's Table 6).
-    deadline_s, retry, breaker_threshold, breaker_reset_s, degrade:
-        Resilience configuration.  ``deadline_s`` is the default
-        per-query budget (positive, or ``None`` for none; overridable
-        per call) and spans the whole fan-out: every shard runs under
-        the query's one deadline, and the merge re-checks before
-        returning.  ``retry`` (default: 2 retries, 5 ms exponential
-        backoff) and the circuit breaker (trip after
-        ``breaker_threshold`` consecutive failures, probe again after
-        ``breaker_reset_s`` seconds) apply per store.  With
-        ``degrade`` a store that cannot answer falls back to a fresh
-        uncached compile on a fresh backend, and a failed shard of a
-        scatter to whole-query serial execution (unless the deadline is
-        spent); without it the typed error surfaces.  Never a stale or
-        partial result either way.
+        fan-out dispatch width is ``max(1, workers // shards)``.
+    deadline_s:
+        The default per-query budget (positive, or ``None`` for none;
+        overridable per call).  It spans the whole fan-out: every shard
+        runs under the query's one deadline, and the merge re-checks
+        before returning.
     flight, flight_recorder, slow_threshold_s:
         The query flight recorder (:mod:`repro.obs.flight`) — on by
         default, one :class:`FlightRecord` per query, with a slow-query
@@ -263,61 +238,35 @@ class ShardedService:
         every degraded/surfaced one) to a full capture.  Pass
         ``flight=False`` to disable, or ``flight_recorder=`` to share
         one.
-    views, view_budget_bytes, view_admit_after:
-        The materialized-view tier (:mod:`repro.service.views`, see
-        ``docs/caching.md``): queries hot for ``view_admit_after``
-        executions get their result rows materialized (LRU within
-        ``view_budget_bytes``), and later queries whose pattern is
-        strictly contained in a view's are answered by re-filtering
-        the view's rows.  Forced off under ``serialize_step``.
+
+    Everything else is a constant of the classes it lives in
+    (``docs/serving.md``): the plan cache and the view tier
+    (:class:`~repro.service.core.CacheLadder`), and per store the
+    retry policy, circuit breaker and backend pool with the paper's
+    Table 6 indexes (:class:`~repro.service.service.StoreExecutor`),
+    which retry a failed call, then answer from one last resort, then
+    raise a typed error — never a stale or partial result.
     """
 
     def __init__(
         self,
-        collection: Collection | None = None,
+        collection: Collection,
         default_doc: str | None = None,
         serialize_step: bool = False,
-        disabled_rules: set[str] | None = None,
         *,
-        shards: int | None = None,
-        workers: int = 1,
-        cache_capacity: int = 256,
-        cached_statements: int = 512,
-        indexes: dict[str, tuple[str, ...]] | None = None,
         checked: bool = False,
+        workers: int = 1,
         deadline_s: float | None = None,
-        retry: RetryPolicy | None = None,
-        breaker_threshold: int = 8,
-        breaker_reset_s: float = 0.25,
-        degrade: bool = True,
         flight: bool = True,
         flight_recorder: FlightRecorder | None = None,
         slow_threshold_s: float = 0.25,
-        views: bool = True,
-        view_budget_bytes: int = 4 << 20,
-        view_admit_after: int = 3,
     ):
         if workers <= 0:
             raise ValueError("workers must be positive")
-        if collection is None:
-            collection = Collection(shards if shards is not None else 1)
-        elif shards is not None and shards != collection.shards:
-            raise ValueError(
-                f"shards={shards} conflicts with the given collection's "
-                f"{collection.shards} shards"
-            )
         self.collection = collection
         self.workers = workers
         self.serialize_step = serialize_step
         self.deadline_s = deadline_s
-        self.retry = retry if retry is not None else RetryPolicy()
-        self.degrade_enabled = degrade
-        # concurrent dispatch pays off whenever the host has cores to
-        # run SQLite on (it releases the GIL); thread fan-out on a
-        # single core is pure scheduling cost — the per-shard cost
-        # reduction (smaller tables, shorter membership predicates)
-        # survives sequential dispatch intact
-        self.parallel_fanout = (os.cpu_count() or 1) > 1
         self._dispatch_width = max(1, workers // collection.shards)
         # the compile-side processor: bound to an empty store (compiled
         # SQL never executes against it), resolving collection() globs
@@ -327,7 +276,6 @@ class ShardedService:
             store=DocumentStore(),
             default_doc=default_doc,
             serialize_step=serialize_step,
-            disabled_rules=disabled_rules,
             checked=checked,
             collections=collection.resolve,
         )
@@ -338,11 +286,7 @@ class ShardedService:
             self.processor,
             collection,
             self._view_filter,
-            capacity=cache_capacity,
             collection=f"shards:{collection.shards}",
-            views=views,
-            view_budget_bytes=view_budget_bytes,
-            view_admit_after=view_admit_after,
         )
         self.cache = self._ladder.cache
         self.views = self._ladder.views
@@ -360,9 +304,6 @@ class ShardedService:
         # one ledger for every store executor's retry/degrade/surface
         # decisions
         self._ledger = FaultLedger()
-        self._indexes = indexes
-        self._cached_statements = cached_statements
-        self._breaker_config = (breaker_threshold, breaker_reset_s)
         self._executors = [
             self._store_executor(store, self._shard_resolver(shard))
             for shard, store in enumerate(collection.stores)
@@ -390,11 +331,6 @@ class ShardedService:
             front=self.processor,
             collections=collections,
             ledger=self._ledger,
-            indexes=self._indexes,
-            cached_statements=self._cached_statements,
-            retry=self.retry,
-            breaker=CircuitBreaker(*self._breaker_config),
-            degrade=self.degrade_enabled,
         )
 
     # -- documents -----------------------------------------------------
@@ -665,59 +601,47 @@ class ShardedService:
                 merged = self.collection.to_global(shard, items)
                 return merged, time.perf_counter_ns() - started
 
-            futures: list[Future[list[int]]] = []
-            pending: list[Callable[[], list[int]]]
-            if self.parallel_fanout:
-                # dispatch threads mostly wait on SQLite with the GIL
-                # released; each wait is capped at the query's budget,
-                # so a shard task queued behind stalled statements
-                # cannot make the DeadlineExceeded late
-                futures = [
-                    self._dispatch_pool(shard).submit(
-                        MetricsBridge(self._merge_lock).run, run, shard
-                    )
-                    for shard in shards
-                ]
-                pending = [
-                    partial(wait_within, future, deadline)
-                    for future in futures
-                ]
-            else:
-                pending = [partial(run, shard) for shard in shards]
-            per_shard: list[list[int]] = []
-            failure: BaseException | None = None
-            for shard, wait in zip(shards, pending):
-                try:
-                    items = wait()
-                except ServiceError as error:
-                    get_metrics().count("service.scatter.shard_failures")
-                    # a spent deadline outranks any other shard failure
-                    if failure is None or isinstance(error, DeadlineExceeded):
-                        failure = error
-                    continue
-                if failure is None:
-                    per_shard.append(self.collection.to_global(shard, items))
-            if failure is not None:
-                # a shard task the deadline wait gave up on may still
-                # be running; it observes the same deadline (stalls
-                # wake every slice, SQLite runs under the progress
-                # handler), so wait for it: its fault tallies must
-                # reach the caller's registry before the failure does
+            # dispatch threads mostly wait on SQLite with the GIL
+            # released; each wait is capped at the query's budget, so a
+            # shard task queued behind stalled statements cannot make
+            # the DeadlineExceeded late
+            futures = [
+                self._dispatch_pool(shard).submit(
+                    MetricsBridge(self._merge_lock).run, run, shard
+                )
+                for shard in shards
+            ]
+            try:
+                per_shard: list[list[int]] = []
+                failure: ServiceError | None = None
+                for shard, future in zip(shards, futures):
+                    try:
+                        items = wait_within(future, deadline)
+                    except ServiceError as error:
+                        get_metrics().count("service.scatter.shard_failures")
+                        # a spent deadline outranks any other failure
+                        if failure is None or isinstance(
+                            error, DeadlineExceeded
+                        ):
+                            failure = error
+                        continue
+                    if failure is None:
+                        per_shard.append(
+                            self.collection.to_global(shard, items)
+                        )
+                if failure is not None:
+                    # partial answers are never merged
+                    raise failure
+            finally:
+                # on every exit, a shard task the caller stopped
+                # waiting for may still be running; it observes the same
+                # deadline (stalls wake every slice, SQLite runs under
+                # the progress handler), so cancel it or wait for it:
+                # its fault tallies must reach the caller's registry
+                # before the call returns
                 for future in futures:
                     if not future.cancel():
                         future.exception()
-                # a spent deadline has no budget left to degrade on
-                spent = isinstance(failure, DeadlineExceeded)
-                if spent or not self.degrade_enabled:
-                    raise failure
-                # partial answers are never merged: degrade to full
-                # serial execution against the combined store
-                get_metrics().count("service.scatter.serial_fallbacks")
-                if flight is not None:
-                    flight.note_degraded()
-                with tracer.span("service.scatter.degrade"):
-                    items = self._run_serial(compiled, engine, deadline)
-                return items, 0
             started = time.perf_counter_ns()
             merged = list(heapq.merge(*per_shard))
             merge_ns = time.perf_counter_ns() - started
@@ -726,7 +650,7 @@ class ShardedService:
             return merged, merge_ns
 
     def _dispatch_pool(self, shard: int) -> ThreadPoolExecutor:
-        """The shard's dispatch threads for a parallel fan-out.  Per
+        """The shard's dispatch threads for a fan-out.  Per
         shard, so a shard's pooled SQLite connections stay with the
         same few threads."""
         with self._lifecycle_lock:
@@ -865,9 +789,8 @@ class ShardedService:
             "serial_materialized": serial,
             "resilience": {
                 "deadline_s": self.deadline_s,
-                "max_retries": self.retry.max_retries,
+                "max_retries": self._executors[0].retry.max_retries,
                 "breaker": self._breaker_state(),
-                "degrade": self.degrade_enabled,
             },
             "fault_accounting": self.fault_accounting,
             "per_shard": per_shard,

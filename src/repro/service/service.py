@@ -3,7 +3,7 @@
 :class:`StoreExecutor` runs compiled plans against one
 :class:`~repro.infoset.encoding.DocumentStore` on behalf of
 :class:`~repro.service.ShardedService` — one executor per shard, plus
-the serial fallback over the combined store (on one shard the serial
+the serial executor over the combined store (on one shard the serial
 store *is* the shard's store, so the two are the same executor).  It
 owns what touches that store and nothing else:
 
@@ -19,8 +19,11 @@ owns what touches that store and nothing else:
 - the :class:`CircuitBreaker` over repeated backend failures;
 - the pooled attempt under :func:`~repro.service.core.resilient_call`
   (deadline cancellation, bounded retry), with :meth:`_degraded` — a
-  fresh uncached compile on a fresh single-use backend — as the last
-  resort, so an answer is correct or a typed error, never stale.
+  fresh uncached compile on a fresh single-use backend — as the one
+  last resort, so an answer is correct or a typed error, never stale.
+
+The retry policy, the breaker, the pool and the degraded backend take
+their class defaults (``docs/robustness.md`` states the values).
 
 The cache ladder, the serving boundary, flight recording and the
 worker pool live once, on the serving class (see ``docs/serving.md``).
@@ -32,7 +35,6 @@ import sqlite3
 import threading
 import time
 from concurrent.futures import Future
-from functools import partial
 from typing import Any, Callable, TypeVar
 
 from repro.algebra.interpreter import run_plan
@@ -87,11 +89,11 @@ class StoreExecutor:
     """Executes compiled plans against one document store.
 
     ``front`` is the serving class's compile-side processor: this
-    executor's own processor copies its ``serialize_step``,
-    ``disabled_rules`` and ``checked`` settings and reads its
-    ``default_doc`` at every compile, so all of them come from one
-    place.  ``collections`` resolves ``collection()`` globs to the
-    member URIs this store hosts.  Injected faults are posted to
+    executor's own processor copies its ``serialize_step`` and
+    ``checked`` settings and reads its ``default_doc`` at every
+    compile, so all of them come from one place.  ``collections``
+    resolves ``collection()`` globs to the member URIs this store
+    hosts.  Injected faults are posted to
     ``ledger``, the serving class's one fault ledger.
     """
 
@@ -102,26 +104,17 @@ class StoreExecutor:
         front: XQueryProcessor,
         collections: CollectionResolver,
         ledger: FaultLedger,
-        indexes: dict[str, tuple[str, ...]] | None,
-        cached_statements: int,
-        retry: RetryPolicy,
-        breaker: CircuitBreaker,
-        degrade: bool,
     ):
         self._front = front
         self.processor = XQueryProcessor(
             store=store,
             serialize_step=front.serialize_step,
-            disabled_rules=set(front.disabled_rules),
             checked=front.checked,
             collections=collections,
         )
-        self.breaker = breaker
+        self.retry = RetryPolicy()
+        self.breaker = CircuitBreaker()
         self._ledger = ledger
-        self._indexes = indexes
-        self._cached_statements = cached_statements
-        self._retry = retry
-        self._degrade = degrade
         self._pool: BackendPool | None = None
         self._pool_version = -1
         self._pool_lock = threading.Lock()
@@ -189,11 +182,7 @@ class StoreExecutor:
             pool.retire()
             pool = None
         if pool is None:
-            pool = BackendPool(
-                self.store.table,
-                self._indexes,
-                cached_statements=self._cached_statements,
-            )
+            pool = BackendPool(self.store.table)
             self._pool = pool
             self._pool_version = self.store.version
         return pool
@@ -266,15 +255,11 @@ class StoreExecutor:
 
         return resilient_call(
             attempt,
-            retry=self._retry,
+            retry=self.retry,
             deadline=deadline,
             ledger=self._ledger,
             breaker=self.breaker,
-            last_resort=(
-                partial(self._degraded, compiled, engine, deadline)
-                if self._degrade
-                else None
-            ),
+            last_resort=lambda: self._degraded(compiled, engine, deadline),
         )
 
     def _degraded(
@@ -298,7 +283,7 @@ class StoreExecutor:
             if flight is not None:
                 flight.note_degraded()
             fresh = self.compile(compiled.source)
-            backend = SQLiteBackend(self.store.table, self._indexes)
+            backend = SQLiteBackend(self.store.table)
             try:
                 with cancellation(backend.connection, deadline):
                     return backend.run(fresh.sql_for(engine))

@@ -25,7 +25,6 @@ PUBLIC_ERRORS = [
     errors.DeadlineExceeded,
     errors.ServiceOverloaded,
     errors.QuotaExceeded,
-    errors.CircuitOpenError,
     errors.BackendUnavailable,
     errors.PoolRetiredError,
 ]

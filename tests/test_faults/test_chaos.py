@@ -32,9 +32,7 @@ def test_no_stale_results_across_midstorm_reload():
     extra_query = 'doc("extra.xml")//item/name'
     base_query = 'doc("auction.xml")//bidder/increase'
 
-    service = ShardedService(
-        Collection(1), workers=8, deadline_s=1.5, breaker_threshold=64
-    )
+    service = ShardedService(Collection(1), workers=8, deadline_s=1.5)
     service.load(
         "<open_auction><bidder><increase>4.20</increase></bidder>"
         "</open_auction>",

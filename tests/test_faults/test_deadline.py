@@ -195,10 +195,11 @@ def test_late_view_answer_is_refused(shards, monkeypatch):
     """The view rung cannot be cancelled mid-filter, so its answer is
     re-checked against the deadline — on either deployment shape."""
     broad, narrow = "//bidder", "//bidder[time]"
-    with repro.connect(shards=shards, view_admit_after=1) as session:
+    with repro.connect(shards=shards) as session:
+        views = session.service.views
+        views.admit_after = 1
         session.load(AUCTION_XML, "auction.xml")
         session.execute(broad)  # admits the view
-        views = session.service.views
         answer = views.answer
 
         def slow_answer(pattern, version):

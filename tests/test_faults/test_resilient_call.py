@@ -8,12 +8,7 @@ import sqlite3
 
 import pytest
 
-from repro.errors import (
-    BackendUnavailable,
-    CircuitOpenError,
-    DeadlineExceeded,
-    PoolRetiredError,
-)
+from repro.errors import BackendUnavailable, DeadlineExceeded, PoolRetiredError
 from repro.faults.injector import InjectedOperationalError
 from repro.obs import metrics_scope
 from repro.service.core import FaultLedger, resilient_call
@@ -48,15 +43,20 @@ def injected_deadline() -> DeadlineExceeded:
     return error
 
 
+def unreachable():
+    pytest.fail("the last resort was taken")
+
+
 class Harness:
     def __init__(self, max_retries: int = 2, breaker: CircuitBreaker | None = None):
         self.ledger = FaultLedger()
-        self.breaker = breaker
+        self.breaker = breaker if breaker is not None else CircuitBreaker()
         self.options = dict(
             retry=RetryPolicy(max_retries=max_retries, sleeper=lambda _s: None),
             deadline=None,
             ledger=self.ledger,
-            breaker=breaker,
+            breaker=self.breaker,
+            last_resort=unreachable,
         )
 
     def call(self, script: Script, **overrides):
@@ -88,16 +88,6 @@ def test_exhaustion_takes_the_last_resort():
     assert counters["service.retry.exhausted"] == 1
     assert counters["service.degrade.fallbacks"] == 1
     harness.assert_balanced(script, retry=1, degrade=1)
-
-
-def test_exhaustion_without_a_last_resort_is_unavailable():
-    harness = Harness(max_retries=1)
-    script = Script(busy(), busy())
-    with pytest.raises(BackendUnavailable) as excinfo:
-        harness.call(script)
-    assert "persisted through 1 retries" in str(excinfo.value)
-    assert isinstance(excinfo.value.__cause__, sqlite3.OperationalError)
-    harness.assert_balanced(script, retry=1, surface=1)
 
 
 def test_failing_last_resort_surfaces():
@@ -184,8 +174,45 @@ def test_open_breaker_short_circuits():
     breaker.record_failure()
     harness = Harness(breaker=breaker)
     script = Script("never attempted")
-    with pytest.raises(CircuitOpenError):
-        harness.call(script)
-    assert harness.call(script, last_resort=lambda: "fallback") == "fallback"
+    with metrics_scope() as metrics:
+        assert harness.call(script, last_resort=lambda: "fallback") == "fallback"
     assert script.calls == 0
+    counters = metrics.snapshot()["counters"]
+    assert counters["service.degrade.breaker_fastpath"] == 1
+    assert "service.degrade.fallbacks" not in counters
     harness.assert_balanced(script)
+
+
+def test_open_breaker_with_a_failing_last_resort_surfaces_typed():
+    """The breaker's short circuit ends like exhaustion does: the last
+    resort's failure surfaces as :class:`BackendUnavailable`, never as
+    the raw error."""
+    breaker = CircuitBreaker(threshold=1, reset_after=60.0)
+    breaker.record_failure()
+    harness = Harness(breaker=breaker)
+
+    def broken():
+        raise sqlite3.OperationalError("disk I/O error")
+
+    with pytest.raises(BackendUnavailable) as excinfo:
+        harness.call(Script(), last_resort=broken)
+    assert isinstance(excinfo.value.__cause__, sqlite3.OperationalError)
+
+
+def test_retries_trip_the_default_breaker_into_the_last_resort():
+    """Under the serving constants (2 retries, an 8-failure breaker)
+    three calls of three busy attempts each trip the breaker on the
+    third call's second attempt: that call short-circuits to the last
+    resort, and every injected fault is still accounted once."""
+    harness = Harness()
+    script = Script(*[busy() for _ in range(8)])
+    for _ in range(2):
+        assert harness.call(script, last_resort=lambda: "fallback") == "fallback"
+    with metrics_scope() as metrics:
+        assert harness.call(script, last_resort=lambda: "fallback") == "fallback"
+    assert harness.breaker.state == "open"
+    assert script.calls == 8
+    counters = metrics.snapshot()["counters"]
+    assert counters["service.degrade.breaker_fastpath"] == 1
+    assert counters["service.breaker.opened"] == 1
+    harness.assert_balanced(script, retry=6, degrade=2)

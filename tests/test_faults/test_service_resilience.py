@@ -1,30 +1,29 @@
 """The hardened serving stack on one shard against scripted faults:
 retry, connection recovery, pool-retirement races, degradation,
-breaker, and the batch APIs under failure.
+breaker, and the batch APIs under failure — all under the serving
+constants (2 retries, an 8-failure breaker that probes again after
+0.25 s).
 
 Scripted injectors replay one entry per injection *opportunity*; on the
 pooled path each execute is a lease opportunity followed by an execute
 opportunity, so scripts interleave ``None`` placeholders accordingly.
+The degraded path runs with injection suppressed and consumes none.
 """
 
 from __future__ import annotations
 
+import sqlite3
 import threading
 
 import pytest
 
-from repro.errors import (
-    BackendUnavailable,
-    CircuitOpenError,
-    DeadlineExceeded,
-    ServiceOverloaded,
-)
+from repro.errors import BackendUnavailable, DeadlineExceeded, ServiceOverloaded
 from repro.faults import FaultInjector, injection
 from repro.obs import metrics_scope
 from repro.pipeline import XQueryProcessor
 from repro.service import ShardedService
 from repro.service.pool import BackendPool
-from repro.service.resilience import RetryPolicy
+from repro.sql.backend import SQLiteBackend
 from repro.store import Collection
 
 AUCTION_XML = """\
@@ -53,6 +52,34 @@ def _pool(service: ShardedService) -> BackendPool | None:
 
 def _breaker_state(service: ShardedService) -> str:
     return service._executors[0].breaker.state
+
+
+# one call's three attempts, each a clean lease and a busy statement
+ONE_CALL_BUSY = [None, "busy"] * 3
+
+
+class FrozenClock:
+    """The breaker's clock, moved only by the test: the 0.25 s probe
+    window opens when the test says so, not when the host is slow."""
+
+    def __init__(self) -> None:
+        self.now = 0.0
+
+    def __call__(self) -> float:
+        return self.now
+
+
+def _trip_breaker(service: ShardedService, expected) -> FrozenClock:
+    """Open the shard's 8-failure breaker with eight busy attempts:
+    two calls exhaust their three attempts and degrade, the third
+    fails twice more and short-circuits to the last resort."""
+    clock = FrozenClock()
+    service._executors[0].breaker._clock = clock
+    with injection(FaultInjector.scripted(ONE_CALL_BUSY * 2 + [None, "busy"] * 2)):
+        for _ in range(3):
+            assert service.execute(QUERY) == expected
+    assert _breaker_state(service) == "open"
+    return clock
 
 
 @pytest.fixture()
@@ -104,9 +131,8 @@ def test_injected_retirement_race_rebuilds_the_pool(expected):
 
 
 def test_exhausted_retries_degrade_to_fresh_uncached_answer(expected):
-    with make_service(retry=RetryPolicy(max_retries=1, base=0.001)) as service:
-        script = [None, "busy", None, "busy"]  # both attempts fail
-        with injection(FaultInjector.scripted(script)):
+    with make_service() as service:
+        with injection(FaultInjector.scripted(ONE_CALL_BUSY)):
             with metrics_scope() as metrics:
                 assert service.execute(QUERY) == expected
         counters = metrics.snapshot()["counters"]
@@ -114,21 +140,25 @@ def test_exhausted_retries_degrade_to_fresh_uncached_answer(expected):
         assert counters["service.degrade.fallbacks"] == 1
         assert counters["service.degrade.queries"] == 1
         assert service.fault_accounting == {
-            "retry": 1,
+            "retry": 2,
             "degrade": 1,
             "surface": 0,
         }
 
 
-def test_degrade_disabled_surfaces_backend_unavailable(expected):
-    with make_service(
-        retry=RetryPolicy(max_retries=0), degrade=False
-    ) as service:
-        with injection(FaultInjector.scripted([None, "busy"])):
-            with pytest.raises(BackendUnavailable):
+def test_failing_last_resort_surfaces_backend_unavailable(expected, monkeypatch):
+    class BrokenBackend(SQLiteBackend):
+        def run(self, sql):
+            raise sqlite3.OperationalError("disk I/O error")
+
+    with make_service() as service:
+        monkeypatch.setattr("repro.service.service.SQLiteBackend", BrokenBackend)
+        with injection(FaultInjector.scripted(ONE_CALL_BUSY)):
+            with pytest.raises(BackendUnavailable) as excinfo:
                 service.execute(QUERY)
+        assert isinstance(excinfo.value.__cause__, sqlite3.OperationalError)
         assert service.fault_accounting == {
-            "retry": 0,
+            "retry": 2,
             "degrade": 0,
             "surface": 1,
         }
@@ -138,61 +168,41 @@ def test_degrade_disabled_surfaces_backend_unavailable(expected):
 
 
 def test_open_breaker_fastpaths_to_degraded_answers(expected):
-    with make_service(
-        retry=RetryPolicy(max_retries=0), breaker_threshold=1
-    ) as service:
-        with injection(FaultInjector.scripted([None, "busy"])):
-            with metrics_scope() as metrics:
-                assert service.execute(QUERY) == expected  # trips the breaker
-                assert _breaker_state(service) == "open"
-                assert service.execute(QUERY) == expected  # short-circuited
+    with make_service() as service:
+        with metrics_scope() as metrics:
+            _trip_breaker(service, expected)
+            assert service.execute(QUERY) == expected  # short-circuited
         counters = metrics.snapshot()["counters"]
-        assert counters["service.degrade.breaker_fastpath"] == 1
+        assert counters["service.degrade.breaker_fastpath"] == 2
         assert counters["service.breaker.opened"] == 1
-        # the fastpath consumed no injection: the ledger holds one fault
-        assert sum(service.fault_accounting.values()) == 1
-
-
-def test_open_breaker_without_degradation_raises_circuit_open(expected):
-    with make_service(
-        retry=RetryPolicy(max_retries=0),
-        breaker_threshold=1,
-        breaker_reset_s=30.0,
-        degrade=False,
-    ) as service:
-        with injection(FaultInjector.scripted([None, "busy"])):
-            with pytest.raises(BackendUnavailable):
-                service.execute(QUERY)
-            with pytest.raises(CircuitOpenError):
-                service.execute(QUERY)
+        # the fastpath consumed no injection: the ledger holds the
+        # eight faults that tripped the breaker, each once
+        assert service.fault_accounting == {
+            "retry": 6,
+            "degrade": 2,
+            "surface": 0,
+        }
 
 
 def test_breaker_recovers_through_half_open_probe(expected):
-    with make_service(
-        retry=RetryPolicy(max_retries=0), breaker_threshold=1,
-        breaker_reset_s=0.0, degrade=False,
-    ) as service:
-        with injection(FaultInjector.scripted([None, "busy"])):
-            with pytest.raises(BackendUnavailable):
-                service.execute(QUERY)
-        # reset window (0 s) elapsed: the next call is the probe, the
-        # injector script is exhausted, so it succeeds and closes
+    with make_service() as service:
+        clock = _trip_breaker(service, expected)
+        clock.now += 0.25
+        # the reset window elapsed: the next call is the probe, no
+        # injector is installed, so it succeeds and closes
+        assert _breaker_state(service) == "half-open"
         assert service.execute(QUERY) == expected
         assert _breaker_state(service) == "closed"
 
 
 def test_probe_deadline_miss_does_not_wedge_the_breaker(expected):
-    with make_service(
-        retry=RetryPolicy(max_retries=0), breaker_threshold=1,
-        breaker_reset_s=0.0, degrade=False,
-    ) as service:
-        # trip the breaker, then let the half-open probe stall past its
-        # deadline: the probe dies with DeadlineExceeded, never calling
-        # record_success/record_failure
-        script = [None, "busy", None, "stall"]
+    with make_service() as service:
+        clock = _trip_breaker(service, expected)
+        clock.now += 0.25
+        # the half-open probe stalls past its deadline: it dies with
+        # DeadlineExceeded, never calling record_success/record_failure
+        script = [None, "stall"]
         with injection(FaultInjector.scripted(script, stall_ms=500.0)):
-            with pytest.raises(BackendUnavailable):
-                service.execute(QUERY)
             with pytest.raises(DeadlineExceeded):
                 service.execute(QUERY, deadline_s=0.05)
         # the probe slot was released on the way out: the next call is
@@ -245,7 +255,7 @@ def test_stats_expose_the_resilience_block(expected):
         resilience = stats["resilience"]
         assert resilience["deadline_s"] == 5.0
         assert resilience["breaker"] == "closed"
-        assert resilience["degrade"] is True
+        assert resilience["max_retries"] == 2
         assert stats["fault_accounting"] == {
             "retry": 0,
             "degrade": 0,

@@ -44,11 +44,9 @@ def run_view_differential(seed: int) -> None:
         store=collection.combined_store(), default_doc=DEFAULT_URI
     )
     with ShardedService(
-        collection,
-        default_doc=DEFAULT_URI,
-        workers=1,
-        view_admit_after=1,
+        collection, default_doc=DEFAULT_URI, workers=1
     ) as service:
+        service.views.admit_after = 1
         service.execute(broad)  # admits the view on the first execution
         served = service.execute(narrow)
         outcome = service.flight.records()[-1].cache
@@ -85,11 +83,9 @@ def test_known_seeds_exercise_the_view_tier():
         collection = Collection(1)
         collection.load(xml, DEFAULT_URI)
         with ShardedService(
-            collection,
-            default_doc=DEFAULT_URI,
-            workers=1,
-            view_admit_after=1,
+            collection, default_doc=DEFAULT_URI, workers=1
         ) as service:
+            service.views.admit_after = 1
             service.execute(broad)
             service.execute(narrow)
             if service.flight.records()[-1].cache == "view":

@@ -127,6 +127,22 @@ GUARDS = (
         "one fault storm: the closed-loop chaos campaign is folded into "
         "repro.workloads.soak and serve-bench has one mode",
     ),
+    Guard(
+        r"parallel_fanout|serial_fallbacks|CircuitOpenError|\.require\(\)",
+        ("src", "examples", "benchmarks", ".github"),
+        "one recovery path and one fan-out: no sequential fan-out fork, "
+        "no scatter serial fallback, no fail-fast breaker error "
+        "(removed in 4.0)",
+    ),
+    Guard(
+        r"degrade=|retry=|breaker_threshold|breaker_reset_s|cache_capacity"
+        r"|cached_statements|indexes=|views=|view_budget_bytes"
+        r"|view_admit_after|disabled_rules",
+        ("src/repro/api.py", "src/repro/service/scatter.py"),
+        "the serving constants are stated once, on the classes that own "
+        "them: connect() and ShardedService take none of them (removed "
+        "in 4.0)",
+    ),
 )
 
 

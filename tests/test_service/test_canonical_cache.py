@@ -131,7 +131,6 @@ def test_store_reload_invalidates_canonical_aliases():
 
 def _sharded() -> ShardedService:
     service = ShardedService(Collection(2), default_doc="m0.xml")
-    service.parallel_fanout = False
     rng = random.Random(11)
     for index in range(4):
         service.load(random_document(rng), f"m{index}.xml", shard=index % 2)

@@ -285,7 +285,6 @@ def test_scatter_deadline_attributes_every_shard_fault_to_the_tenant():
     tenant ledger must hold both before the front door reads it."""
     service = make_service(deadline_s=0.3)
     try:
-        service.parallel_fanout = True  # the fan-out waits on dispatch threads
 
         async def scenario():
             async with FrontDoor(service, [generous("alpha")]) as door:

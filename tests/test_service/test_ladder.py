@@ -48,9 +48,8 @@ class Shell:
         else:
             collection = Collection(2)
             self.source = 'collection("*")'
-        self.service = ShardedService(
-            collection, workers=2, view_admit_after=2
-        )
+        self.service = ShardedService(collection, workers=2)
+        self.service.views.admit_after = 2
         for text, uri in docs:
             self.service.load(text, uri)
 

@@ -11,12 +11,11 @@ import time
 import pytest
 
 from repro.engines import Engine
-from repro.errors import BackendUnavailable, DeadlineExceeded, ServiceError
+from repro.errors import BackendUnavailable, DeadlineExceeded
 from repro.faults import FaultInjector, FaultPlan, injection
 from repro.infoset import DocumentStore
-from repro.obs import metrics_scope
+from repro.obs import get_metrics, metrics_scope
 from repro.pipeline import XQueryProcessor
-from repro.service.resilience import RetryPolicy
 from repro.service.scatter import ShardedService, scatter_uris
 from repro.store import Collection
 from tests.genquery import random_document
@@ -44,7 +43,6 @@ def _corpus(seed: int = 9) -> list[tuple[str, str]]:
 
 def make_sharded(shards: int = 3, **kwargs) -> ShardedService:
     service = ShardedService(Collection(shards), default_doc=DOCS[0], **kwargs)
-    service.parallel_fanout = False
     for index, (text, uri) in enumerate(_corpus()):
         service.load(text, uri, shard=index % shards)
     return service
@@ -199,9 +197,7 @@ def test_let_shared_collection_differential_regression():
     )
     expected = serial.execute(query, "joingraph-sql")
     assert len(expected) == 4  # one flag document guards *all* items
-    service = ShardedService(Collection(4), default_doc="f0.xml")
-    service.parallel_fanout = False
-    with service:
+    with ShardedService(Collection(4), default_doc="f0.xml") as service:
         for index, (text, uri) in enumerate(docs):
             service.load(text, uri, shard=index % 4)
         result = service.execute(query)
@@ -226,19 +222,6 @@ def test_interpreter_engines_run_serially_and_agree():
             result = service.execute(COLLECTION_QUERY, engine)
             assert result.shards == 1
             assert list(result) == list(serial.execute(COLLECTION_QUERY, engine))
-
-
-def test_parallel_and_sequential_fanout_agree():
-    with make_sharded() as sequential:
-        expected = sequential.execute(COLLECTION_QUERY)
-    service = ShardedService(Collection(3), default_doc=DOCS[0])
-    service.parallel_fanout = True
-    with service:
-        for index, (text, uri) in enumerate(_corpus()):
-            service.load(text, uri, shard=index % 3)
-        result = service.execute(COLLECTION_QUERY)
-        assert list(result) == list(expected)
-        assert result.shards == expected.shards
 
 
 # -- result metadata -------------------------------------------------------
@@ -294,33 +277,59 @@ def _fail_shard(service: ShardedService, shard: int) -> None:
     service._executors[shard].run = boom
 
 
-def test_shard_failure_degrades_to_serial_fallback():
-    serial = make_serial()
-    with make_sharded(degrade=True) as service:
-        _fail_shard(service, 0)
+def test_shard_failure_without_degradation_surfaces():
+    """A shard whose own recovery ended in a typed error (no degraded
+    answer) surfaces that error for the whole query — never a partial
+    answer, and no serial re-run over the combined store."""
+    with make_sharded() as service:
+        _fail_shard(service, 1)
         with metrics_scope() as metrics:
-            result = service.execute(COLLECTION_QUERY)
-        assert list(result) == list(serial.execute(COLLECTION_QUERY))
+            with pytest.raises(BackendUnavailable, match="injected shard outage"):
+                service.execute(COLLECTION_QUERY)
         counters = metrics.snapshot()["counters"]
         assert counters["service.scatter.shard_failures"] == 1
-        assert counters["service.scatter.serial_fallbacks"] == 1
+        # the failure surfaced before any merge
+        assert "service.scatter.queries" not in counters
+        assert counters.get("service.scatter.serial_materializations", 0) == 0
+        record = service.flight.records()[-1]
+        assert record.status == "error:BackendUnavailable"
+        assert record.degraded is False
 
 
-def test_shard_failure_without_degradation_surfaces():
-    with make_sharded(degrade=False) as service:
-        _fail_shard(service, 1)
-        with pytest.raises(ServiceError):
-            service.execute(COLLECTION_QUERY)
-        # partial answers are never returned: the failure surfaced
-        # before any merge happened
+def test_non_service_shard_failure_waits_for_the_other_shard_tasks():
+    """A shard failing with something other than a ServiceError (a raw
+    non-transient SQLite error, a bug) still waits for or cancels the
+    other shard tasks before it propagates: their fault tallies reach
+    the caller's metrics scope, and no task outlives the call."""
+    with make_sharded(shards=2, workers=2) as service:
+        service.execute(COLLECTION_QUERY)  # warm the plan and shard variants
+        started, finished = threading.Event(), threading.Event()
+
+        def broken(compiled, engine, deadline):
+            started.wait(timeout=5)  # shard 1's task is running
+            raise RuntimeError("shard 0 bug")
+
+        def slow(compiled, engine, deadline):
+            started.set()
+            time.sleep(0.3)
+            get_metrics().count("faults.injected.busy")
+            finished.set()
+            return []
+
+        service._executors[0].run = broken
+        service._executors[1].run = slow
+        with metrics_scope() as metrics:
+            with pytest.raises(RuntimeError, match="shard 0 bug"):
+                service.execute(COLLECTION_QUERY)
+        assert finished.is_set()
+        assert metrics.snapshot()["counters"]["faults.injected.busy"] == 1
 
 
 def test_spent_deadline_on_one_shard_surfaces_without_serial_fallback():
-    """A shard that outlives the query's budget leaves nothing to
-    degrade on: the DeadlineExceeded surfaces as it is, the combined
-    store is never materialized and the flight record is not marked
-    degraded."""
-    with make_sharded(shards=4, degrade=True) as service:
+    """A shard that outlives the query's budget surfaces its
+    DeadlineExceeded as it is: the combined store is never
+    materialized and the flight record is not marked degraded."""
+    with make_sharded(shards=4) as service:
         service.execute(COLLECTION_QUERY)  # warm the plan and shard variants
         slow = service._executors[1]
         run = slow.run
@@ -334,7 +343,6 @@ def test_spent_deadline_on_one_shard_surfaces_without_serial_fallback():
             with pytest.raises(DeadlineExceeded):
                 service.execute(COLLECTION_QUERY, deadline_s=0.05)
         counters = metrics.snapshot()["counters"]
-        assert counters.get("service.scatter.serial_fallbacks", 0) == 0
         assert counters.get("service.scatter.serial_materializations", 0) == 0
         assert service.flight.records()[-1].degraded is False
 
@@ -346,7 +354,6 @@ def test_stall_storm_surfaces_deadline_on_time():
     when the queue ahead of it drains — and every injected stall is
     accounted for."""
     with make_sharded(shards=4, workers=4) as service:
-        service.parallel_fanout = True
         service.execute(COLLECTION_QUERY)  # warm the plan and shard variants
         injector = FaultInjector(FaultPlan(stall=1.0, stall_ms=5_000.0))
         blocked = threading.Barrier(2)
@@ -382,7 +389,7 @@ def test_stall_storm_surfaces_deadline_on_time():
 
 def test_injected_shard_fault_is_retried_with_balanced_ledger():
     serial = make_serial()
-    with make_sharded(retry=RetryPolicy(max_retries=2, base=0.001)) as service:
+    with make_sharded() as service:
         expected = list(serial.execute(COLLECTION_QUERY))
         # lease ok, first shard statement busy; the retry is clean and
         # the other shards never see the (exhausted) script

@@ -8,6 +8,7 @@ import pytest
 from repro.obs import metrics_scope
 from repro.pipeline import XQueryProcessor
 from repro.service import ShardedService
+from repro.service.core import CacheLadder
 from repro.store import Collection
 
 AUCTION_XML = """\
@@ -70,24 +71,32 @@ def test_cache_invalidates_on_document_load(service):
 
 
 def test_disabled_rules_get_distinct_cache_entries():
+    """The ladder keys plans by its compiler's ``disabled_rules``: an
+    ablated front end (the serving class never builds one, the rule
+    ablations do) never shares a plan with the full one."""
     collection = Collection(1)
     collection.load(AUCTION_XML, "auction.xml")
+    store = collection.combined_store()
     query = "//bidder"
-    with ShardedService(collection, default_doc="auction.xml") as plain, \
-            ShardedService(
-                collection,
-                default_doc="auction.xml",
-                disabled_rules={"17", "18"},
-            ) as ablated:
-        full = plain.compile(query)
-        partial = ablated.compile(query)
-        assert plain.execute(query) == ablated.execute(query)
-        # differing disabled_rules -> differing cache keys -> distinct
-        # artifacts; neither service ever serves the other's plan
-        assert full is not partial
-        assert plain._ladder.key(query) != ablated._ladder.key(query)
-        assert plain.compile(query) is full
-        assert ablated.compile(query) is partial
+
+    def ladder(**options) -> CacheLadder:
+        processor = XQueryProcessor(
+            store=store, default_doc="auction.xml", **options
+        )
+        return CacheLadder(
+            processor, store, lambda pattern, rows: rows, collection="serial"
+        )
+
+    plain, ablated = ladder(), ladder(disabled_rules={"17", "18"})
+    full = plain.compile(query)
+    partial = ablated.compile(query)
+    assert plain.compiler.execute(full) == ablated.compiler.execute(partial)
+    # differing disabled_rules -> differing cache keys -> distinct
+    # artifacts; neither ladder ever serves the other's plan
+    assert full is not partial
+    assert plain.key(query) != ablated.key(query)
+    assert plain.compile(query) is full
+    assert ablated.compile(query) is partial
 
 
 def test_stale_plans_never_served_after_load(service):
@@ -130,22 +139,21 @@ def test_service_metrics_flow_from_workers():
     # the sharded shape counts per *served* query too — not per shard
     # execution, and a view answer (which executes on no shard) counts
     broad, narrow = 'collection("*")//bidder', 'collection("*")//bidder[time]'
-    for parallel in (False, True):
-        with metrics_scope() as metrics:
-            with ShardedService(Collection(4), view_admit_after=1) as svc:
-                svc.parallel_fanout = parallel
-                for shard in range(4):
-                    svc.load(AUCTION_XML, f"a{shard}.xml", shard=shard)
-                assert svc.execute(broad).shards == 4  # admits the view
-                assert len(svc.execute(narrow)) == 4
-                assert svc.flight.records()[-1].cache == "view"
-            snapshot = metrics.snapshot()
-        counters = snapshot["counters"]
-        assert counters["service.queries"] == 2
-        assert counters["service.queries.joingraph-sql"] == 2
-        assert "service.queries.failed" not in counters
-        assert snapshot["histograms"]["service.query_ns"]["count"] == 2
-        assert counters["service.scatter.queries"] == 1
+    with metrics_scope() as metrics:
+        with ShardedService(Collection(4)) as svc:
+            svc.views.admit_after = 1
+            for shard in range(4):
+                svc.load(AUCTION_XML, f"a{shard}.xml", shard=shard)
+            assert svc.execute(broad).shards == 4  # admits the view
+            assert len(svc.execute(narrow)) == 4
+            assert svc.flight.records()[-1].cache == "view"
+        snapshot = metrics.snapshot()
+    counters = snapshot["counters"]
+    assert counters["service.queries"] == 2
+    assert counters["service.queries.joingraph-sql"] == 2
+    assert "service.queries.failed" not in counters
+    assert snapshot["histograms"]["service.query_ns"]["count"] == 2
+    assert counters["service.scatter.queries"] == 1
 
 
 def test_closed_service_refuses_work(service):

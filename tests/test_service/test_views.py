@@ -32,7 +32,8 @@ NARROW = "//a[b][c]"
 
 
 def make_service(**kwargs) -> ShardedService:
-    svc = ShardedService(Collection(1), workers=1, view_admit_after=2, **kwargs)
+    svc = ShardedService(Collection(1), workers=1, **kwargs)
+    svc.views.admit_after = 2
     svc.load(XML, "site.xml")
     return svc
 
@@ -202,11 +203,15 @@ def test_view_answer_counts_in_cache_stats():
 
 
 def test_views_off_means_no_view_tier():
-    with ShardedService(Collection(1), workers=1, views=False) as service:
+    """The view tier is off exactly when ``serialize_step`` is on: a
+    hot pattern admits nothing, so its narrowing compiles cold."""
+    with ShardedService(
+        Collection(1), workers=1, serialize_step=True
+    ) as service:
         service.load(XML, "site.xml")
         assert service.views is None
-        service.execute(BROAD)
-        service.execute(BROAD)
+        for _ in range(3):
+            service.execute(BROAD)
         service.execute(NARROW)
         assert service.flight.records()[-1].cache == "miss"
 
@@ -231,7 +236,8 @@ DOCS = [
 
 
 def make_sharded() -> ShardedService:
-    svc = ShardedService(Collection(2), workers=2, view_admit_after=2)
+    svc = ShardedService(Collection(2), workers=2)
+    svc.views.admit_after = 2
     for text, uri in DOCS:
         svc.load(text, uri)
     return svc
