@@ -311,7 +311,7 @@ def test_non_service_shard_failure_waits_for_the_other_shard_tasks():
 
         def slow(compiled, engine, deadline):
             started.set()
-            time.sleep(0.3)
+            time.sleep(0.1)
             get_metrics().count("faults.injected.busy")
             finished.set()
             return []
@@ -391,14 +391,18 @@ def test_injected_shard_fault_is_retried_with_balanced_ledger():
     serial = make_serial()
     with make_sharded() as service:
         expected = list(serial.execute(COLLECTION_QUERY))
-        # lease ok, first shard statement busy; the retry is clean and
-        # the other shards never see the (exhausted) script
-        with injection(FaultInjector.scripted([None, "busy"])):
+        # the three shards' first leases and statements are the first
+        # six opportunities, in whatever order their threads reach
+        # them: a lease drops its "busy", every first statement gets
+        # one, and every retry runs past the exhausted script
+        injector = FaultInjector.scripted(["busy"] * 6)
+        with injection(injector):
             result = service.execute(COLLECTION_QUERY)
         assert list(result) == expected
         accounting = service.fault_accounting
-        assert accounting["retry"] == 1
-        assert sum(accounting.values()) == 1
+        assert injector.counts.total == 3
+        assert accounting["retry"] == 3
+        assert sum(accounting.values()) == 3
 
 
 def test_stats_aggregate_per_shard_services():
